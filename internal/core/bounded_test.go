@@ -157,64 +157,86 @@ func TestMaxRingsBoundConcurrent(t *testing.T) {
 }
 
 // TestCapacityBoundConcurrent verifies the firm in-flight bound under
-// producer/consumer concurrency: the exact item account never exceeds
-// Capacity at any sampled point, and per-producer FIFO order survives the
-// reject/retry churn.
+// producer/consumer concurrency. Producers and a consumer run in rounds;
+// between rounds no enqueue is in flight, so accepted − dequeued, as the
+// test counts them, must be at most Capacity and equal Items() exactly.
+// (Inside a round Items() may read above Capacity by the producers'
+// not-yet-refunded reservations; see LCRQ.Items.) Per-producer FIFO order
+// must survive the reject/retry churn, and the drained account must read 0.
 func TestCapacityBoundConcurrent(t *testing.T) {
 	const (
 		cap       = 64
 		producers = 4
-		perProd   = 3000
+		rounds    = 40
+		tries     = 200 // enqueue attempts per producer per round
+		polls     = 600 // dequeue attempts per round: below the offered load
 	)
 	q := NewLCRQ(Config{RingOrder: 2, Capacity: cap})
-	var wg sync.WaitGroup
-	var violations atomic.Int64
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			h := q.NewHandle()
-			defer h.Release()
-			for i := 0; i < perProd; i++ {
-				// Retry until accepted: models EnqueueWait's polling.
-				for q.EnqueueStatus(h, uint64(p)<<32|uint64(i)+1) != EnqOK {
-					if q.Items() > cap {
-						violations.Add(1)
+	ph := make([]*Handle, producers)
+	for p := range ph {
+		ph[p] = q.NewHandle()
+		defer ph[p].Release()
+	}
+	ch := q.NewHandle()
+	defer ch.Release()
+	accepted := make([]uint64, producers) // producer p's next value is accepted[p]+1
+	got := make([][]uint64, producers)
+	var dequeued int64
+	consume := func(v uint64) {
+		got[v>>32] = append(got[v>>32], v&0xffffffff)
+		dequeued++
+	}
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				for i := 0; i < tries; i++ {
+					if q.EnqueueStatus(ph[p], uint64(p)<<32|accepted[p]+1) == EnqOK {
+						accepted[p]++
+					} else {
+						runtime.Gosched()
 					}
+				}
+			}(p)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < polls; i++ {
+				if v, ok := q.Dequeue(ch); ok {
+					consume(v)
+				} else {
 					runtime.Gosched()
 				}
-				if q.Items() > cap {
-					violations.Add(1)
-				}
 			}
-		}(p)
-	}
-	got := make([][]uint64, producers)
-	var cwg sync.WaitGroup
-	cwg.Add(1)
-	go func() {
-		defer cwg.Done()
-		h := q.NewHandle()
-		defer h.Release()
-		remaining := producers * perProd
-		for remaining > 0 {
-			v, ok := q.Dequeue(h)
-			if !ok {
-				runtime.Gosched()
-				continue
-			}
-			got[v>>32] = append(got[v>>32], v&0xffffffff)
-			remaining--
+		}()
+		wg.Wait()
+		var in int64
+		for _, n := range accepted {
+			in += int64(n)
 		}
-	}()
-	wg.Wait()
-	cwg.Wait()
-	if n := violations.Load(); n > 0 {
-		t.Fatalf("item account exceeded capacity %d times", n)
+		in -= dequeued
+		if in > cap {
+			t.Fatalf("round %d: %d accepted items not dequeued, capacity %d", r, in, cap)
+		}
+		if items := q.Items(); items != in {
+			t.Fatalf("round %d: quiescent Items() = %d, want %d (accepted − dequeued)", r, items, in)
+		}
+	}
+	if q.CapacityRejects() == 0 {
+		t.Fatal("the capacity gate never rejected; the bound was not exercised")
+	}
+	for v, ok := q.Dequeue(ch); ok; v, ok = q.Dequeue(ch) {
+		consume(v)
+	}
+	if items := q.Items(); items != 0 {
+		t.Fatalf("Items() after drain = %d, want 0", items)
 	}
 	for p := 0; p < producers; p++ {
-		if len(got[p]) != perProd {
-			t.Fatalf("producer %d: %d items consumed, want %d", p, len(got[p]), perProd)
+		if uint64(len(got[p])) != accepted[p] {
+			t.Fatalf("producer %d: %d items consumed, %d accepted", p, len(got[p]), accepted[p])
 		}
 		for i, v := range got[p] {
 			if v != uint64(i)+1 {
@@ -235,11 +257,32 @@ func TestBoundedNormalization(t *testing.T) {
 	if got := (Config{MaxRings: 1}).normalized().MaxRings; got != MinMaxRings {
 		t.Fatalf("MaxRings floor = %d, want %d", got, MinMaxRings)
 	}
-	if (Config{}).Bounded() {
-		t.Fatal("zero Config must be unbounded")
-	}
-	if !(Config{Capacity: 1}).Bounded() || !(Config{MaxRings: 5}).Bounded() {
-		t.Fatal("Capacity/MaxRings must make the Config bounded")
+	// Bounded skips normalization, so it must agree with the normalized
+	// Config on every budget shape normalization rewrites.
+	for _, c := range []struct {
+		cfg  Config
+		want bool
+	}{
+		{Config{}, false},
+		{Config{Capacity: 1}, true},
+		{Config{MaxRings: 5}, true},
+		{Config{MaxRings: 1}, true},
+		{Config{Capacity: 100, MaxRings: 0}, true},
+		{Config{Capacity: -1}, false},
+		{Config{MaxRings: -3}, false},
+		{Config{Capacity: -1, MaxRings: -1}, false},
+		{Config{Capacity: -5, MaxRings: 4}, true},
+		{Config{Capacity: 7, MaxRings: -2}, true},
+	} {
+		n := c.cfg.normalized()
+		if got, norm := c.cfg.Bounded(), n.Capacity > 0 || n.MaxRings > 0; got != c.want || norm != c.want {
+			t.Errorf("Capacity %d, MaxRings %d: Bounded() = %v, normalized answer %v, want %v",
+				c.cfg.Capacity, c.cfg.MaxRings, got, norm, c.want)
+		}
+		if q := NewLCRQ(c.cfg); q.bounded != c.want {
+			t.Errorf("Capacity %d, MaxRings %d: LCRQ.bounded = %v, want %v",
+				c.cfg.Capacity, c.cfg.MaxRings, q.bounded, c.want)
+		}
 	}
 	// Bounded epoch mode auto-enables stall detection…
 	if got := (Config{Capacity: 1, Reclamation: ReclaimEpoch}).normalized().StallAge; got != DefaultStallAge {

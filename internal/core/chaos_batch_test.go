@@ -283,71 +283,78 @@ func TestBatchDequeueRacingRetirement(t *testing.T) {
 
 // TestBatchBoundedPartialUnderChaos keeps a capacity-2 queue perpetually
 // contended by batch producers while the capacity gate and reservation
-// windows are armed: the exact item account must never exceed the bound,
-// and partial acceptances must refund cleanly (Items returns to zero after
-// a full drain).
+// windows are armed. The workers run in rounds; between rounds no enqueue
+// is in flight, so accepted − dequeued, as the test counts them, must be at
+// most the bound and equal Items() exactly. (Inside a round Items() may
+// read above the bound by a batch's not-yet-refunded reservation; see
+// LCRQ.Items.) Partial acceptances must refund cleanly: after a full drain
+// every accepted value has come out once and Items() reads zero.
 func TestBatchBoundedPartialUnderChaos(t *testing.T) {
 	chaos.Reset()
 	defer chaos.Reset()
 	chaos.Set(chaos.CapacityGate, 0.5)
 	chaos.Set(chaos.BatchEnqReserve, 0.5)
 
-	const cap = 2
+	const (
+		cap     = 2
+		workers = 3
+		iters   = 50 // enqueue/dequeue batch pairs per worker per round
+	)
 	q := NewLCRQ(Config{RingOrder: 1, StarvationLimit: 4, Capacity: cap})
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	var violations atomic.Int64
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h := q.NewHandle()
-			defer h.Release()
-			vs := make([]uint64, 3) // always wider than the whole budget
-			out := make([]uint64, 3)
-			i := uint64(0)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for j := range vs {
-					vs[j] = uint64(w)<<32 | i + uint64(j) + 1
-				}
-				i += uint64(len(vs))
-				q.EnqueueBatch(h, vs)
-				if q.Items() > cap {
-					violations.Add(1)
-				}
-				q.DequeueBatch(h, out)
-			}
-		}(w)
+	hs := make([]*Handle, workers)
+	for w := range hs {
+		hs[w] = q.NewHandle()
+		defer hs[w].Release()
 	}
-	// Observe until both armed points have demonstrably fired (bounded by a
-	// deadline so a wedged scenario fails loudly rather than hanging).
+	next := make([]uint64, workers) // worker w's next value is next[w]+1
+	var accepted, dequeued atomic.Int64
+	// Run rounds until both armed points have demonstrably fired (bounded by
+	// a deadline so a wedged scenario fails loudly rather than hanging).
 	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if q.Items() > cap {
-			violations.Add(1)
+	for r := 0; time.Now().Before(deadline); r++ {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				vs := make([]uint64, 3) // always wider than the whole budget
+				out := make([]uint64, 3)
+				for i := 0; i < iters; i++ {
+					for j := range vs {
+						vs[j] = uint64(w)<<32 | next[w] + uint64(j) + 1
+					}
+					// A batch is accepted as a prefix; the rest is retried.
+					n, _ := q.EnqueueBatch(hs[w], vs)
+					next[w] += uint64(n)
+					accepted.Add(int64(n))
+					dequeued.Add(int64(q.DequeueBatch(hs[w], out)))
+				}
+			}(w)
+		}
+		wg.Wait()
+		in := accepted.Load() - dequeued.Load()
+		if in > cap {
+			t.Fatalf("round %d: %d accepted items not dequeued, capacity %d", r, in, cap)
+		}
+		if items := q.Items(); items != in {
+			t.Fatalf("round %d: quiescent Items() = %d, want %d (accepted − dequeued)", r, items, in)
 		}
 		if chaos.Fired(chaos.CapacityGate) > 0 && chaos.Fired(chaos.BatchEnqReserve) > 0 {
 			break
 		}
 	}
-	close(stop)
-	wg.Wait()
-	if n := violations.Load(); n > 0 {
-		t.Fatalf("item account exceeded capacity %d times", n)
-	}
 	// Drain everything; the account must return exactly to zero.
 	h := q.NewHandle()
 	defer h.Release()
 	out := make([]uint64, 8)
-	for q.DequeueBatch(h, out) > 0 {
+	for n := q.DequeueBatch(h, out); n > 0; n = q.DequeueBatch(h, out) {
+		dequeued.Add(int64(n))
 	}
 	if got := q.Items(); got != 0 {
 		t.Fatalf("Items() after drain = %d, want 0 (refund leaked)", got)
+	}
+	if a, d := accepted.Load(), dequeued.Load(); a != d {
+		t.Fatalf("conservation violated: %d values accepted, %d dequeued", a, d)
 	}
 	if chaos.Fired(chaos.CapacityGate) == 0 || chaos.Fired(chaos.BatchEnqReserve) == 0 {
 		t.Fatal("bounded chaos scenario is vacuous")

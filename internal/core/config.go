@@ -63,8 +63,9 @@ type Reclamation int
 const (
 	// ReclaimHazard is the paper-faithful default: hazard pointers protect
 	// the ring an operation works in, and retired rings are recycled once
-	// unprotected. Per-operation cost: one pointer publication plus a
-	// revalidating reread (§5 footnote 6 of the paper).
+	// unprotected. Per-operation cost: one load-compare while the ring is
+	// unchanged; publication (store, fence, revalidating reread — §5
+	// footnote 6 of the paper) only when it changes.
 	ReclaimHazard Reclamation = iota
 	// ReclaimEpoch uses epoch-based reclamation: one pin/unpin pair per
 	// operation, cheaper than hazard publication, but a stalled thread
@@ -215,7 +216,7 @@ type Config struct {
 	WaitBackoffMax time.Duration
 
 	// Capacity bounds the number of items in flight: an enqueue that would
-	// push the exact item account past Capacity is rejected (EnqFull)
+	// push the item account past Capacity is rejected (EnqFull)
 	// instead of growing the ring chain. 0 leaves the queue unbounded.
 	// Bounded mode maintains the account with one atomic add per operation;
 	// unbounded queues skip it entirely.
@@ -389,11 +390,11 @@ func (c Config) normalized() Config {
 }
 
 // Bounded reports whether the configuration enforces an item or ring
-// budget.
-func (c Config) Bounded() bool {
-	n := c.normalized()
-	return n.Capacity > 0 || n.MaxRings > 0
-}
+// budget. It gives the same answer on a raw and a normalized Config:
+// normalization only zeroes negative budgets and derives MaxRings when
+// Capacity is already positive. Operation paths call it, so it must stay
+// small enough to inline.
+func (c Config) Bounded() bool { return c.Capacity > 0 || c.MaxRings > 0 }
 
 // RingSize returns the number of cells R implied by the configuration.
 func (c Config) RingSize() int { return 1 << c.normalized().RingOrder }

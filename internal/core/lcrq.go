@@ -34,8 +34,9 @@ type LCRQ struct {
 	tail atomic.Pointer[CRQ]
 	_    pad.Line
 
-	// items is the exact number of accepted, not-yet-dequeued values on a
-	// bounded queue (cfg.Capacity > 0): one atomic add per enqueue AND per
+	// items is the item account of a bounded queue (cfg.Capacity > 0):
+	// accepted, not-yet-dequeued values plus in-flight reservations (see
+	// Items). One atomic add per enqueue AND per
 	// dequeue, by every thread — as hot as head and tail, so it gets the
 	// same private false-sharing range (found by padcheck: it previously
 	// shared a cache line with the slow-path gauges below, so every
@@ -47,9 +48,13 @@ type LCRQ struct {
 	// traced caches cfg.TraceSampleN != 0 so the operation paths gate the
 	// per-op trace bookkeeping on one read-only bool. Set once in NewLCRQ.
 	traced bool
-	dom    *hazard.Domain[CRQ]
-	edom   *epoch.Domain[CRQ]
-	pool   sync.Pool // recycled *CRQ rings (nil Reclaim when NoRecycle)
+	// bounded caches cfg.Bounded() for the same reason: even inlined, a
+	// value-receiver call on the ~200-byte Config copies it, and every
+	// dequeue and successful enqueue asks. Set once in NewLCRQ.
+	bounded bool
+	dom     *hazard.Domain[CRQ]
+	edom    *epoch.Domain[CRQ]
+	pool    sync.Pool // recycled *CRQ rings (nil Reclaim when NoRecycle)
 
 	// shared is the queue-wide half of the adaptive contention controller
 	// (nil unless cfg.AdaptiveContention): the watchdog's remediation boost,
@@ -86,7 +91,7 @@ type LCRQ struct {
 // NewLCRQ returns an empty queue configured by cfg.
 func NewLCRQ(cfg Config) *LCRQ {
 	cfg = cfg.normalized()
-	q := &LCRQ{cfg: cfg, traced: cfg.TraceSampleN != 0}
+	q := &LCRQ{cfg: cfg, traced: cfg.TraceSampleN != 0, bounded: cfg.Bounded()}
 	if cfg.AdaptiveContention {
 		q.shared = contention.NewShared(cfg.AdaptBoostMax)
 	}
@@ -164,6 +169,12 @@ func (h *Handle) exit() {
 // the garbage collector does, so a plain load suffices for both; only
 // hazard mode needs the publish-and-revalidate dance.
 //
+// Hazard slots are never cleared between operations: the slot keeps the
+// ring published until the handle's next protect of that slot (a
+// load-compare while the ring is unchanged) or its Release. A handle so
+// holds at most two rings (hpHead, hpTail) back from recycling while idle —
+// the same bound as a handle paused mid-operation.
+//
 // A handle with neither record on a queue that runs a reclamation scheme is
 // a detached core.NewHandle() being misused: its operations would silently
 // run unprotected, letting rings be recycled under it. That is a
@@ -178,12 +189,6 @@ func (q *LCRQ) protect(h *Handle, slot int, src *atomic.Pointer[CRQ]) *CRQ {
 		return src.Load()
 	}
 	return h.hp.ProtectPtr(slot, src)
-}
-
-func (q *LCRQ) unprotect(h *Handle, slot int) {
-	if h.hp != nil {
-		h.hp.Clear(slot)
-	}
 }
 
 // newRing produces a CRQ seeded with v, recycling a retired ring when
@@ -279,7 +284,6 @@ func (q *LCRQ) Depth(h *Handle) (depth int64, rings int) {
 	h.enter()
 	defer h.exit()
 	crq := q.protect(h, hpHead, &q.head)
-	defer q.unprotect(h, hpHead)
 	for crq != nil && rings < depthWalkLimit {
 		t := crq.tail.Load() &^ closedBit
 		hd := crq.head.Load()
@@ -323,9 +327,10 @@ func (q *LCRQ) Enqueue(h *Handle, v uint64) bool {
 // cannot: EnqClosed after Close, EnqFull when the configured item or ring
 // budget is exhausted. v must not be Bottom.
 //
-// Bounded mode reserves budget first (one atomic add on the exact item
-// account), so the number of accepted-but-not-dequeued items can never
-// exceed Capacity, even transiently. The ring budget is enforced on the
+// Bounded mode reserves budget first (one atomic add on the item account,
+// refunded if the add overshoots), so the number of accepted-but-not-
+// dequeued items can never exceed Capacity, even transiently; the account
+// itself may, by the in-flight overshoots (see Items). The ring budget is enforced on the
 // append slow path: an enqueuer that would have to link a segment past
 // MaxRings backs out instead, which keeps the chain's length — and thus the
 // queue's memory — bounded no matter how far a consumer has stalled.
@@ -361,9 +366,9 @@ func (q *LCRQ) EnqueueStatus(h *Handle, v uint64) EnqStatus {
 	switch {
 	case st == EnqFull:
 		q.reject()
-	case st == EnqOK && q.cfg.Bounded():
+	case st == EnqOK && q.bounded:
 		// A success ends any full episode; the next rejection re-arms the
-		// EvCapacityReject tap. Gating on Bounded() (not MaxRings alone)
+		// EvCapacityReject tap. Gating on bounded (not MaxRings alone)
 		// keeps the reset alive for any bounded configuration regardless of
 		// how normalization derives the ring budget. Plain load first so the
 		// steady non-full state costs one read, not a store.
@@ -428,7 +433,7 @@ func (q *LCRQ) EnqueueBatch(h *Handle, vs []uint64) (int, EnqStatus) {
 	if n == len(vs) {
 		// The whole batch landed: a success ends any full episode, exactly
 		// as in EnqueueStatus.
-		if q.cfg.Bounded() && q.full.Load() {
+		if q.bounded && q.full.Load() {
 			q.full.Store(false)
 		}
 		return n, EnqOK
@@ -474,7 +479,6 @@ func (q *LCRQ) enqueueBatch(h *Handle, vs []uint64) (int, EnqStatus) {
 		accepted += n
 		vs = vs[n:]
 		if len(vs) == 0 {
-			q.unprotect(h, hpTail)
 			return accepted, EnqOK
 		}
 		if !closed {
@@ -483,11 +487,9 @@ func (q *LCRQ) enqueueBatch(h *Handle, vs []uint64) (int, EnqStatus) {
 			continue
 		}
 		if q.closed.Load() {
-			q.unprotect(h, hpTail)
 			return accepted, EnqClosed
 		}
 		if max := q.cfg.MaxRings; max > 0 && q.rings.Load() >= int64(max) {
-			q.unprotect(h, hpTail)
 			return accepted, EnqFull
 		}
 		// Spill: append a new ring seeded with the batch's next value; the
@@ -518,7 +520,6 @@ func (q *LCRQ) enqueueBatch(h *Handle, vs []uint64) (int, EnqStatus) {
 				newcrq.closeRing(h, EvRingClose)
 			}
 			if len(vs) == 0 {
-				q.unprotect(h, hpTail)
 				return accepted, EnqOK
 			}
 			continue
@@ -551,7 +552,7 @@ func (q *LCRQ) releaseItems(n int64) {
 	if q.cfg.Capacity > 0 {
 		q.items.Add(-n)
 	}
-	if q.cfg.Bounded() && q.full.Load() {
+	if q.bounded && q.full.Load() {
 		q.full.Store(false)
 	}
 }
@@ -563,9 +564,15 @@ func (q *LCRQ) releaseItems(n int64) {
 // Always false on an unbounded queue.
 func (q *LCRQ) FullEpisode() bool { return q.full.Load() }
 
-// Items returns the exact number of accepted, not-yet-dequeued values on a
-// capacity-bounded queue, and 0 on an unbounded one (which keeps no item
-// account; use Depth for an approximation there).
+// Items returns a capacity-bounded queue's item account: the accepted,
+// not-yet-dequeued values plus the reservations of enqueues still in
+// flight. The capacity gate adds before it checks and refunds an overshoot
+// afterwards, so until a refund lands the account can exceed Capacity by
+// at most one unit per concurrent producer (a whole batch per batch
+// producer). Accepted values alone never exceed Capacity, and at a
+// quiescent point, with no enqueue in flight, the account equals them
+// exactly. An unbounded queue keeps no account and reports 0; use Depth
+// for an approximation there.
 func (q *LCRQ) Items() int64 { return q.items.Load() }
 
 // Capacity returns the configured item bound (0 when unbounded).
@@ -678,7 +685,6 @@ func (q *LCRQ) enqueue(h *Handle, v uint64) EnqStatus {
 		}
 		if crq.Enqueue(h, v) {
 			h.C.Enqueues++
-			q.unprotect(h, hpTail)
 			return EnqOK
 		}
 		// Tail CRQ is closed. If the queue itself has been closed, the
@@ -686,7 +692,6 @@ func (q *LCRQ) enqueue(h *Handle, v uint64) EnqStatus {
 		// every ring in the chain is (or will be) closed, so this check on
 		// the append slow path is the only one the hot path needs.
 		if q.closed.Load() {
-			q.unprotect(h, hpTail)
 			return EnqClosed
 		}
 		// Ring budget gate: refuse to link a segment past MaxRings. The
@@ -697,7 +702,6 @@ func (q *LCRQ) enqueue(h *Handle, v uint64) EnqStatus {
 		// chain to the budget, and every contender re-running this loop
 		// afterwards is turned away here before allocating.
 		if max := q.cfg.MaxRings; max > 0 && q.rings.Load() >= int64(max) {
-			q.unprotect(h, hpTail)
 			return EnqFull
 		}
 		// Append a new CRQ containing v (159-166).
@@ -727,7 +731,6 @@ func (q *LCRQ) enqueue(h *Handle, v uint64) EnqStatus {
 			if q.closed.Load() {
 				newcrq.closeRing(h, EvRingClose)
 			}
-			q.unprotect(h, hpTail)
 			return EnqOK
 		}
 		h.C.CASFail++
@@ -762,7 +765,6 @@ func (q *LCRQ) Close(h *Handle) {
 		}
 		crq.closeRing(h, EvRingClose)
 		if crq.next.Load() == nil {
-			q.unprotect(h, hpTail)
 			return
 		}
 	}
@@ -794,7 +796,6 @@ func (q *LCRQ) Dequeue(h *Handle) (v uint64, ok bool) {
 		if v, ok := crq.Dequeue(h); ok {
 			h.C.Dequeues++
 			q.releaseItem()
-			q.unprotect(h, hpHead)
 			if h.traceHits != 0 {
 				q.deliverTraces(h)
 			}
@@ -803,13 +804,11 @@ func (q *LCRQ) Dequeue(h *Handle) (v uint64, ok bool) {
 		if crq.next.Load() == nil {
 			h.C.Dequeues++
 			h.C.Empty++
-			q.unprotect(h, hpHead)
 			return Bottom, false
 		}
 		if v, ok := crq.Dequeue(h); ok {
 			h.C.Dequeues++
 			q.releaseItem()
-			q.unprotect(h, hpHead)
 			if h.traceHits != 0 {
 				q.deliverTraces(h)
 			}
@@ -856,7 +855,6 @@ func (q *LCRQ) DequeueBatch(h *Handle, out []uint64) int {
 		if n := crq.DequeueBatch(h, out); n > 0 {
 			h.C.Dequeues += uint64(n)
 			q.releaseItems(int64(n))
-			q.unprotect(h, hpHead)
 			if h.traceHits != 0 {
 				q.deliverTraces(h)
 			}
@@ -867,13 +865,11 @@ func (q *LCRQ) DequeueBatch(h *Handle, out []uint64) int {
 			// mirroring the single-op accounting.
 			h.C.Dequeues++
 			h.C.Empty++
-			q.unprotect(h, hpHead)
 			return 0
 		}
 		if n := crq.DequeueBatch(h, out); n > 0 {
 			h.C.Dequeues += uint64(n)
 			q.releaseItems(int64(n))
-			q.unprotect(h, hpHead)
 			if h.traceHits != 0 {
 				q.deliverTraces(h)
 			}

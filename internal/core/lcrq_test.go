@@ -383,6 +383,96 @@ func TestLCRQRecyclingReusesRings(t *testing.T) {
 	}
 }
 
+// TestIdleHandleRingsRecycledAfterRelease pins the memory bound of sticky
+// hazard slots: a handle that goes idle keeps at most the two rings its
+// slots last protected (hpHead, hpTail) from the recycler, however far
+// another handle churns, and its Release lets them through.
+func TestIdleHandleRingsRecycledAfterRelease(t *testing.T) {
+	// R = 2 appends a ring every few enqueues; a batch of 1 scans a retired
+	// list as soon as it holds one entry per record.
+	q := NewLCRQ(Config{RingOrder: 1, NoPadding: true, ReclamationBatch: 1})
+	var handles []*Handle
+	newHandle := func() *Handle {
+		h := q.NewHandle()
+		handles = append(handles, h)
+		return h
+	}
+	next, expect := uint64(1), uint64(1)
+	enq := func(h *Handle) {
+		if !q.Enqueue(h, next) {
+			t.Fatalf("enqueue %d rejected", next)
+		}
+		next++
+	}
+	deq := func(h *Handle) {
+		if v, ok := q.Dequeue(h); !ok || v != expect {
+			t.Fatalf("dequeue = %d,%v, want %d,true", v, ok, expect)
+		}
+		expect++
+	}
+	churn := func(h *Handle, rounds int) {
+		for i := 0; i < rounds; i++ {
+			for j := 0; j < 5; j++ {
+				enq(h)
+			}
+			for j := 0; j < 5; j++ {
+				deq(h)
+			}
+		}
+	}
+	// held counts rings unlinked from the list but not yet handed to the
+	// recycler. Every ring but the first was appended, and every unlinked
+	// one retired.
+	held := func() int64 {
+		appends := uint64(0)
+		for _, h := range handles {
+			appends += h.C.Appends
+		}
+		retired := 1 + int64(appends) - q.LiveRings()
+		return retired - int64(q.recPuts.Load())
+	}
+
+	idle, active := newHandle(), newHandle()
+	// The idle handle appends rings with enqueues alone, so it retires
+	// nothing itself, then dequeues once from the head ring. Its tail slot
+	// is left on a later ring than its head slot.
+	for i := 0; i < 9; i++ {
+		enq(idle)
+	}
+	deq(idle)
+	if idle.C.Appends == 0 {
+		t.Fatal("idle handle never appended a ring")
+	}
+	// The active handle drains past every ring the idle one touched and
+	// churns on; Release clears its own slots and scans its retired list,
+	// so only what the idle handle's slots protect stays out of the pool.
+	churn(active, 200)
+	active.Release()
+	n := held()
+	if n > 2 {
+		t.Fatalf("idle handle holds %d retired rings from the recycler, want at most 2", n)
+	}
+	if n == 0 {
+		t.Fatal("idle handle held no retired ring; the scenario is vacuous")
+	}
+	t.Logf("idle handle held %d retired rings", n)
+
+	idle.Release()
+	// Fresh handles reuse both records; churning on each scans whichever
+	// retired list kept the idle handle's rings.
+	h1, h2 := newHandle(), newHandle()
+	churn(h1, 20)
+	churn(h2, 20)
+	h1.Release()
+	h2.Release()
+	if n := held(); n != 0 {
+		t.Fatalf("%d retired rings never reached the recycler after the idle handle's Release", n)
+	}
+	if h1.C.Recycled+h2.C.Recycled == 0 || q.RecyclerSize() == 0 {
+		t.Fatal("no ring went through the recycler")
+	}
+}
+
 func TestLCRQHandleRelease(t *testing.T) {
 	q := newSmallLCRQ(3)
 	h := q.NewHandle()

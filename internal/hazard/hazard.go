@@ -9,10 +9,16 @@
 // appended CRQ instead of letting the GC reclaim it keeps allocation off the
 // enqueue path (the paper achieves the same with jemalloc). A ring may only
 // be recycled once no thread can still perform transitions on its cells, and
-// that is exactly the guarantee hazard pointers provide. Keeping them also
-// preserves the paper's per-operation overhead: "writing the CRQ's address
-// to a thread-private location, issuing a memory fence, and rereading the
-// LCRQ's head/tail" (§5, footnote 6).
+// that is exactly the guarantee hazard pointers provide.
+//
+// The paper's per-operation overhead is "writing the CRQ's address to a
+// thread-private location, issuing a memory fence, and rereading the LCRQ's
+// head/tail" (§5, footnote 6). Here slots are sticky: an operation leaves
+// its slot published, so the next operation on the same ring pays one
+// load-compare, and the publication (store, fence, reread) happens only
+// when the ring changes. The price is memory: a record keeps the nodes it
+// last protected — one per slot — from reclamation until it protects
+// something else or is Released.
 //
 // The domain is generic over the protected node type. Each participating
 // thread owns a Record with a fixed number of hazard slots; records are
@@ -77,8 +83,9 @@ func (d *Domain[T]) ScanThreshold() int { return d.scanThreshold }
 // Record is one thread's set of hazard slots plus its private retired list.
 // A Record must not be used concurrently.
 //
-// The owner stores to its slots on every queue operation, so the slots sit
-// between two pad.Lines: records allocated back to back (two handles made
+// The owner reads its slots on every queue operation and stores to them
+// whenever the protected node changes, and every scan reads them, so the
+// slots sit between two pad.Lines: records allocated back to back (two handles made
 // one after the other on one goroutine) then never put two threads' slots,
 // or one thread's slots and another's active flag, on one cache line.
 //
@@ -138,24 +145,33 @@ func (r *Record[T]) Protect(i int, p *T) *T {
 	return p
 }
 
-// ProtectPtr repeatedly loads *src, publishes the loaded pointer in slot i,
-// and rereads *src until the two agree, guaranteeing that the returned node
-// was reachable from src after the hazard pointer was visible.
+// ProtectPtr returns the node *src points to, protected by slot i: the
+// returned node was reachable from src after the hazard pointer was visible.
+//
+// Slots are sticky: nothing clears them between operations, so slot i
+// usually still holds the node the previous call protected, and that node is
+// usually still *src. When the loaded pointer matches the slot, ProtectPtr
+// returns it without a store. That load is itself the revalidation: the
+// slot's value was published by this record's own earlier seq-cst store,
+// which precedes the load in program order. Otherwise it publishes the
+// loaded pointer and rereads *src until the two agree.
 func (r *Record[T]) ProtectPtr(i int, src *atomic.Pointer[T]) *T {
+	p := src.Load()
 	for {
-		p := src.Load()
-		// The load→publish window is the classic hazard-pointer race: a
-		// retirer that scans here does not yet see our claim on p.
+		// The load→compare/publish window is the classic hazard-pointer
+		// race: a retirer that scans here does not yet see a claim on p.
 		chaos.Delay(chaos.HazardWindow)
-		r.hps[i].Store(p)
-		if src.Load() == p {
+		if r.hps[i].Load() == p {
 			return p
 		}
+		r.hps[i].Store(p)
+		q := src.Load()
+		if q == p {
+			return p
+		}
+		p = q
 	}
 }
-
-// Clear empties hazard slot i.
-func (r *Record[T]) Clear(i int) { r.hps[i].Store(nil) }
 
 // Retire schedules p for reclamation once no hazard pointer protects it.
 // reclaim is invoked at most once, from whichever thread's scan observes the

@@ -115,10 +115,10 @@ func TestProtectBlocksReclamation(t *testing.T) {
 	if reclaimed != 0 {
 		t.Fatal("protected node was reclaimed")
 	}
-	other.Clear(0)
+	other.Release()
 	owner.scan()
 	if reclaimed != 1 {
-		t.Fatalf("reclaimed = %d after clearing, want 1", reclaimed)
+		t.Fatalf("reclaimed = %d after Release, want 1", reclaimed)
 	}
 }
 
@@ -171,6 +171,113 @@ func TestProtectPtrValidates(t *testing.T) {
 	if r.hps[0].Load() != n {
 		t.Fatal("hazard slot not published")
 	}
+}
+
+// TestProtectPtrFastPath: while src still points at the node the slot holds,
+// ProtectPtr returns that node and leaves the slot as it is; once src moves
+// on, it publishes the new node. The src comparison is load-bearing: a fast
+// path that trusted a non-empty slot alone would return the stale node.
+func TestProtectPtrFastPath(t *testing.T) {
+	d := New[node](1)
+	r := d.Acquire()
+	var src atomic.Pointer[node]
+	a, b := &node{v: 1}, &node{v: 2}
+	src.Store(a)
+	for i := 0; i < 3; i++ {
+		if got := r.ProtectPtr(0, &src); got != a {
+			t.Fatalf("call %d: ProtectPtr = node %d, want node 1", i, got.v)
+		}
+		if r.hps[0].Load() != a {
+			t.Fatalf("call %d: slot no longer holds node 1", i)
+		}
+	}
+	src.Store(b)
+	if got := r.ProtectPtr(0, &src); got != b {
+		t.Fatalf("ProtectPtr after src moved = node %d, want node 2", got.v)
+	}
+	if r.hps[0].Load() != b {
+		t.Fatal("slot was not republished after src moved")
+	}
+}
+
+// TestStickySlotSurvivesRetire: a slot stays published after ProtectPtr
+// returns, with nothing clearing it, so the node survives another record's
+// Retire and scan; once the owner's next ProtectPtr sees src changed, the
+// next scan reclaims it.
+func TestStickySlotSurvivesRetire(t *testing.T) {
+	d := New[node](1)
+	owner := d.Acquire()
+	other := d.Acquire()
+	var src atomic.Pointer[node]
+	old, cur := &node{v: 1}, &node{v: 2}
+	src.Store(old)
+	owner.ProtectPtr(0, &src)
+	src.Store(cur) // unlink old, as a head swing would
+
+	var reclaimed int
+	other.Retire(old, func(*node) { reclaimed++ })
+	other.scan()
+	if reclaimed != 0 {
+		t.Fatal("node held in a sticky slot was reclaimed")
+	}
+	if got := owner.ProtectPtr(0, &src); got != cur {
+		t.Fatalf("ProtectPtr = node %d, want node 2", got.v)
+	}
+	other.scan()
+	if reclaimed != 1 {
+		t.Fatalf("reclaimed = %d after the owner moved on, want 1", reclaimed)
+	}
+}
+
+// TestReleaseFreesStickySlots: Release clears every slot the record left
+// published, so whatever it held is reclaimed at the next scan.
+func TestReleaseFreesStickySlots(t *testing.T) {
+	d := New[node](2)
+	owner := d.Acquire()
+	other := d.Acquire()
+	var head, tail atomic.Pointer[node]
+	a, b := &node{v: 1}, &node{v: 2}
+	head.Store(a)
+	tail.Store(b)
+	owner.ProtectPtr(0, &head)
+	owner.ProtectPtr(1, &tail)
+
+	var reclaimed int
+	other.Retire(a, func(*node) { reclaimed++ })
+	other.Retire(b, func(*node) { reclaimed++ })
+	other.scan()
+	if reclaimed != 0 {
+		t.Fatalf("reclaimed %d nodes held in sticky slots", reclaimed)
+	}
+	owner.Release()
+	other.scan()
+	if reclaimed != 2 {
+		t.Fatalf("reclaimed = %d after Release, want 2", reclaimed)
+	}
+}
+
+// BenchmarkProtectPtr measures one protection of an unchanged node (the
+// sticky fast path: a load-compare) against one of a node that changed
+// since the last call (publish, fence, reread; the loop's own store that
+// changes src is included).
+func BenchmarkProtectPtr(b *testing.B) {
+	d := New[node](1)
+	r := d.Acquire()
+	defer r.Release()
+	nodes := [2]*node{{v: 1}, {v: 2}}
+	var src atomic.Pointer[node]
+	b.Run("unchanged", func(b *testing.B) {
+		src.Store(nodes[0])
+		for i := 0; i < b.N; i++ {
+			r.ProtectPtr(0, &src)
+		}
+	})
+	b.Run("changed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			src.Store(nodes[i&1])
+			r.ProtectPtr(0, &src)
+		}
+	})
 }
 
 func TestScanThresholdScalesWithRecords(t *testing.T) {
@@ -235,7 +342,6 @@ func TestConcurrentListTraversal(t *testing.T) {
 				if head.CompareAndSwap(n, next) {
 					r.Retire(n, markPoisoned)
 				}
-				r.Clear(0)
 			}
 		}()
 	}
@@ -262,7 +368,6 @@ func TestConcurrentListTraversal(t *testing.T) {
 					}
 					return
 				}
-				r.Clear(0)
 			}
 		}()
 	}

@@ -70,9 +70,13 @@ type Metrics struct {
 	Closed bool
 
 	// Resource governance (all zero on an unbounded queue). Capacity and
-	// MaxRings are the configured budgets; Items is the exact in-flight
-	// item account a capacity-bounded queue maintains (unlike Depth, which
-	// is approximate); CapacityRejects counts rejected enqueue attempts.
+	// MaxRings are the configured budgets; Items is the item account a
+	// capacity-bounded queue maintains: accepted values plus in-flight
+	// reservations. It can exceed Capacity by at most one unit per
+	// concurrent producer (a whole batch per batch producer) until the
+	// gate's refund lands, and is exact when no enqueue is in flight
+	// (unlike Depth, which is approximate). CapacityRejects counts
+	// rejected enqueue attempts.
 	Capacity        int64
 	MaxRings        int
 	Items           int64

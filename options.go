@@ -175,7 +175,7 @@ func WithForcedTracingOnly() Option {
 }
 
 // WithCapacity bounds the number of items in flight: an enqueue that would
-// push the exact item account past n items is rejected instead of growing
+// push the item account past n items is rejected instead of growing
 // the queue — Enqueue reports false, TryEnqueue returns ErrFull, and
 // EnqueueWait blocks until a dequeue frees budget. A ring budget is derived
 // automatically (⌈n/R⌉+1 segments, one extra for the drained-but-unretired
