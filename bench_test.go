@@ -222,22 +222,15 @@ func BenchmarkAblationSpin(b *testing.B) {
 	b.Run("no-spinwait", func(b *testing.B) { coreBenchParallel(b, core.Config{SpinWait: -1}) })
 }
 
-// BenchmarkAblationReclamation compares the three safe-memory-reclamation
-// schemes: the paper's hazard pointers, epoch-based reclamation, and
-// GC-only (a Go-specific design point; see DESIGN.md §5). The first two
-// are measured without recycling so only the protection cost differs from
-// gc-only; the -churn variants measure the full retire/recycle path on a
-// tiny ring.
+// BenchmarkAblationReclamation compares the paper's hazard pointers with
+// GC-only reclamation (a Go-specific design point; see DESIGN.md §5).
+// hazard is measured without recycling so only the protection cost differs
+// from gc-only; the -churn variants measure the full retire/recycle path on
+// a tiny ring.
 func BenchmarkAblationReclamation(b *testing.B) {
 	b.Run("hazard", func(b *testing.B) { coreBenchParallel(b, core.Config{NoRecycle: true}) })
-	b.Run("epoch", func(b *testing.B) {
-		coreBenchParallel(b, core.Config{Reclamation: core.ReclaimEpoch, NoRecycle: true})
-	})
 	b.Run("gc-only", func(b *testing.B) { coreBenchParallel(b, core.Config{NoHazard: true}) })
 	b.Run("hazard-churn", func(b *testing.B) { coreBenchParallel(b, core.Config{RingOrder: 2}) })
-	b.Run("epoch-churn", func(b *testing.B) {
-		coreBenchParallel(b, core.Config{RingOrder: 2, Reclamation: core.ReclaimEpoch})
-	})
 	b.Run("gc-churn", func(b *testing.B) {
 		coreBenchParallel(b, core.Config{RingOrder: 2, NoHazard: true})
 	})

@@ -98,10 +98,10 @@ func soakSeconds() time.Duration {
 }
 
 // TestSoak is the timed robustness soak the CI chaos job runs with -race:
-// a bounded epoch-mode queue with stall recovery and a watchdog, every
-// fault-injection point armed, blocking producers, one consumer that
-// repeatedly stalls mid-traffic while holding a handle, and one handle that
-// is leaked entirely. Throughout, the ring chain must respect its budget.
+// a bounded queue with a watchdog, every fault-injection point armed,
+// blocking producers, one consumer that repeatedly stalls mid-traffic while
+// holding a handle (and with it, two rings in its hazard slots), and one
+// handle that is leaked entirely. Throughout, the ring chain must respect its budget.
 // Once producers and consumer have stopped (no enqueue in flight), accepted
 // − consumed must be at most the capacity and equal the item account
 // exactly; while they run, the account may read above the capacity by
@@ -119,8 +119,6 @@ func TestSoak(t *testing.T) {
 	q := New(
 		WithRingOrder(3), // R=8: constant segment churn
 		WithCapacity(capacity),
-		WithEpochReclamation(),
-		WithStallRecovery(2*time.Millisecond),
 		WithWatchdog(5*time.Millisecond),
 		WithWaitBackoff(time.Microsecond, 100*time.Microsecond),
 	)
@@ -162,8 +160,8 @@ func TestSoak(t *testing.T) {
 	}
 
 	// A stalling consumer: drains briskly, then parks holding its handle —
-	// in epoch mode that is exactly the stalled-reclaimer hazard the ring
-	// budget must survive.
+	// the stalled-reclaimer hazard the ring budget must survive. Its sticky
+	// hazard slots keep at most two retired rings from the recycler.
 	consumed := make([][]uint64, producers)
 	var others int // consumed values no producer wrote (the leaked handle's)
 	var cwg sync.WaitGroup
@@ -266,7 +264,7 @@ func TestSoak(t *testing.T) {
 	if h := q.Health(); h.Checks == 0 {
 		t.Error("watchdog never completed a check during the soak")
 	}
-	t.Logf("soak done: rings≤%d, items≤%d, stalls=%d, orphans=%d, rejects=%d, health=%+v",
-		maxRings, capacity, q.Metrics().EpochStalls, q.Metrics().OrphanRecoveries,
+	t.Logf("soak done: rings≤%d, items≤%d, orphans=%d, rejects=%d, health=%+v",
+		maxRings, capacity, q.Metrics().OrphanRecoveries,
 		q.Metrics().CapacityRejects, q.Health())
 }

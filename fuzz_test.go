@@ -82,7 +82,7 @@ func FuzzCloseDrain(f *testing.F) {
 		target := uint64(closeAfter) % (uint64(nprod)*perProd + 1)
 		opts := []Option{WithRingSize(2 << (geom % 4))}
 		if geom&16 != 0 {
-			opts = append(opts, WithEpochReclamation())
+			opts = append(opts, WithoutHazardPointers())
 		}
 		if geom&32 != 0 {
 			opts = append(opts, WithStarvationLimit(2))
@@ -183,7 +183,7 @@ func FuzzBoundedCapacity(f *testing.F) {
 			WithCapacity(capacity),
 		}
 		if geom&16 != 0 {
-			opts = append(opts, WithEpochReclamation())
+			opts = append(opts, WithoutHazardPointers())
 		}
 		q := New(opts...)
 		h := q.NewHandle()

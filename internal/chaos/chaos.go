@@ -3,7 +3,7 @@
 // The CRQ/LCRQ correctness argument lives almost entirely in code that a
 // cooperative scheduler rarely executes: cell CAS2 failures, ring closing,
 // the starvation "tantrum" path, the LCRQ list hand-off windows, and the
-// reclamation races that hazard pointers and epochs exist to win. Under
+// reclamation races that hazard pointers exist to win. Under
 // normal Go scheduling these paths fire so rarely that tests barely touch
 // them. This package plants named injection points inside those paths so a
 // chaos test can force them to fire on demand — probabilistically failing a
@@ -63,10 +63,6 @@ const (
 	// retire/scan windows, widening the race between publication,
 	// validation, and reclamation.
 	HazardWindow
-	// EpochWindow yields between reading the global epoch and publishing
-	// the pinned local epoch, and at the head of epoch advancement,
-	// simulating stalled pinned threads.
-	EpochWindow
 	// CapacityGate yields inside the bounded-mode rejection window, between
 	// a capacity (item or ring budget) rejection and its report to the
 	// caller — the window an EnqueueWait retry races against dequeuers
@@ -76,10 +72,6 @@ const (
 	// rejection and the next retry, perturbing the wait/wake schedule of
 	// blocked producers.
 	EnqWait
-	// StallScan yields at the epoch stall-declaration window: the moment a
-	// lagging pinned record is declared stalled-by-policy and excluded from
-	// blocking advancement, just before the forced advance proceeds.
-	StallScan
 	// BatchEnqReserve yields inside the batched-enqueue reservation window:
 	// after the single tail F&A has claimed a block of consecutive indices
 	// but before any cell of the block is filled — the window in which
@@ -136,10 +128,8 @@ var pointNames = [NumPoints]string{
 	DelayDeq:     "delay-deq",
 	Handoff:      "handoff",
 	HazardWindow: "hazard-window",
-	EpochWindow:  "epoch-window",
 	CapacityGate: "capacity-gate",
 	EnqWait:      "enq-wait",
-	StallScan:    "stall-scan",
 
 	BatchEnqReserve: "batch-enq-reserve",
 	BatchDeqReserve: "batch-deq-reserve",

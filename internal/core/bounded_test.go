@@ -54,14 +54,14 @@ func TestCapacityBound(t *testing.T) {
 
 // TestMaxRingsBound verifies the ring budget with a wholly stalled
 // consumer: the chain stops growing at MaxRings and every enqueue past it
-// is turned away before allocating, in all reclamation modes.
+// is turned away before allocating, in both reclamation modes.
 func TestMaxRingsBound(t *testing.T) {
-	for _, mode := range []Reclamation{ReclaimHazard, ReclaimEpoch, ReclaimGC} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, mode := range reclamationModes {
+		t.Run(mode.name, func(t *testing.T) {
 			const maxRings = 3
 			// R = 2: every third item needs a fresh ring, so the budget
 			// binds almost immediately.
-			q := NewLCRQ(Config{RingOrder: 1, MaxRings: maxRings, Reclamation: mode})
+			q := NewLCRQ(Config{RingOrder: 1, MaxRings: maxRings, NoHazard: mode.noHazard})
 			h := q.NewHandle()
 			defer h.Release()
 			accepted := 0
@@ -284,36 +284,26 @@ func TestBoundedNormalization(t *testing.T) {
 				c.cfg.Capacity, c.cfg.MaxRings, q.bounded, c.want)
 		}
 	}
-	// Bounded epoch mode auto-enables stall detection…
-	if got := (Config{Capacity: 1, Reclamation: ReclaimEpoch}).normalized().StallAge; got != DefaultStallAge {
-		t.Fatalf("bounded epoch StallAge = %v, want %v", got, DefaultStallAge)
-	}
-	// …and a negative StallAge opts out.
-	if got := (Config{Capacity: 1, Reclamation: ReclaimEpoch, StallAge: -1}).normalized().StallAge; got != 0 {
-		t.Fatalf("StallAge opt-out = %v, want 0", got)
-	}
 }
 
 // TestDetachedHandleRejected verifies the fail-fast guard: a detached
 // core.NewHandle() — legitimate for standalone CRQ use — must not silently
-// run unprotected operations on a hazard- or epoch-mode LCRQ.
+// run unprotected operations on a hazard-mode LCRQ.
 func TestDetachedHandleRejected(t *testing.T) {
-	for _, mode := range []Reclamation{ReclaimHazard, ReclaimEpoch} {
-		t.Run(mode.String(), func(t *testing.T) {
-			q := NewLCRQ(Config{Reclamation: mode})
-			h := NewHandle()
-			defer func() {
-				if recover() == nil {
-					t.Fatal("detached handle on a reclaiming LCRQ did not panic")
-				}
-			}()
-			q.Enqueue(h, 1)
-		})
-	}
+	t.Run("hazard", func(t *testing.T) {
+		q := NewLCRQ(Config{})
+		h := NewHandle()
+		defer func() {
+			if recover() == nil {
+				t.Fatal("detached handle on a reclaiming LCRQ did not panic")
+			}
+		}()
+		q.Enqueue(h, 1)
+	})
 	// GC mode has no reclamation record to forget, so detached handles are
 	// legitimate there.
 	t.Run("gc", func(t *testing.T) {
-		q := NewLCRQ(Config{Reclamation: ReclaimGC})
+		q := NewLCRQ(Config{NoHazard: true})
 		h := NewHandle()
 		if !q.Enqueue(h, 1) {
 			t.Fatal("detached handle must work on a GC-mode LCRQ")
@@ -325,29 +315,28 @@ func TestDetachedHandleRejected(t *testing.T) {
 }
 
 // TestOrphanHandleRecovery verifies the leak finalizer: a handle dropped
-// without Release has its reclamation record returned to the domain, so the
-// domain's record (and in epoch mode, reclamation progress) is not lost
-// forever.
+// without Release has its hazard record returned to the domain, so the
+// record, and the two rings its sticky slots hold, are not lost forever.
+// GC mode issues handles without a record, so only hazard mode has one to
+// recover.
 func TestOrphanHandleRecovery(t *testing.T) {
-	for _, mode := range []Reclamation{ReclaimHazard, ReclaimEpoch} {
-		t.Run(mode.String(), func(t *testing.T) {
-			q := NewLCRQ(Config{Reclamation: mode})
-			func() {
-				h := q.NewHandle()
-				q.Enqueue(h, 1)
-				q.Dequeue(h)
-				// h leaks: no Release.
-			}()
-			deadline := time.Now().Add(5 * time.Second)
-			for q.OrphanRecoveries() == 0 {
-				if time.Now().After(deadline) {
-					t.Fatal("orphaned handle was never recovered by the finalizer")
-				}
-				runtime.GC()
-				time.Sleep(time.Millisecond)
+	t.Run("hazard", func(t *testing.T) {
+		q := NewLCRQ(Config{})
+		func() {
+			h := q.NewHandle()
+			q.Enqueue(h, 1)
+			q.Dequeue(h)
+			// h leaks: no Release.
+		}()
+		deadline := time.Now().Add(5 * time.Second)
+		for q.OrphanRecoveries() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("orphaned handle was never recovered by the finalizer")
 			}
-		})
-	}
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+	})
 }
 
 // TestReleaseDisarmsRecovery verifies the orderly path: a properly Released
@@ -366,50 +355,4 @@ func TestReleaseDisarmsRecovery(t *testing.T) {
 	if n := q.OrphanRecoveries(); n != 0 {
 		t.Fatalf("released handle was recovered as an orphan (%d recoveries)", n)
 	}
-}
-
-// TestEpochStallDetection verifies stall-resilient reclamation end to end
-// on the queue: with one participant parked inside an operation-style pin,
-// the domain must declare it stalled (rather than freezing reclamation) and
-// a bounded queue must keep accepting and draining items.
-func TestEpochStallDetection(t *testing.T) {
-	q := NewLCRQ(Config{
-		RingOrder:   1,
-		Reclamation: ReclaimEpoch,
-		MaxRings:    4,
-		StallAge:    time.Millisecond,
-	})
-	stalled := q.NewHandle()
-	stalled.enter() // park the handle pinned, as a stuck goroutine would
-	h := q.NewHandle()
-	defer h.Release()
-	// Drive traffic and reclamation kicks until the stall is declared.
-	deadline := time.Now().Add(5 * time.Second)
-	for q.EpochStalls() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("pinned participant was never declared stalled")
-		}
-		for i := 0; i < 64; i++ {
-			q.Enqueue(h, uint64(i)+1)
-			q.Dequeue(h)
-		}
-		q.KickReclaim(h)
-		time.Sleep(time.Millisecond)
-	}
-	// Traffic must still flow within the ring budget after the stall.
-	for i := 0; i < 256; i++ {
-		if !q.Enqueue(h, uint64(i)+1) {
-			// Budget pressure is fine; drain and continue.
-			q.Dequeue(h)
-			continue
-		}
-		if _, ok := q.Dequeue(h); !ok {
-			t.Fatal("dequeue failed with items in flight")
-		}
-		if lr := q.LiveRings(); lr > 4 {
-			t.Fatalf("LiveRings = %d exceeds budget with a stalled reclaimer", lr)
-		}
-	}
-	stalled.exit()
-	stalled.Release()
 }

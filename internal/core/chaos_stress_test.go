@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"lcrq/internal/chaos"
 	"lcrq/internal/linearize"
@@ -76,7 +75,6 @@ func scenarios() []pointScenario {
 	// Tiny rings and a low starvation limit force constant segment churn,
 	// which is what drags every slow path into play.
 	tiny := Config{RingOrder: 1, StarvationLimit: 4}
-	epoch := Config{RingOrder: 1, StarvationLimit: 4, Reclamation: ReclaimEpoch}
 	// A capacity of 2 with three threads enqueueing about half the time
 	// keeps the item budget perpetually contended, so the capacity gate's
 	// rejection path runs constantly. Rejected enqueues are simply not
@@ -91,7 +89,6 @@ func scenarios() []pointScenario {
 		{chaos.DelayDeq, 0.5, tiny},
 		{chaos.Handoff, 0.7, tiny},
 		{chaos.HazardWindow, 0.5, tiny}, // default reclamation is hazard
-		{chaos.EpochWindow, 0.5, epoch},
 		{chaos.CapacityGate, 0.5, bounded},
 	}
 }
@@ -117,12 +114,12 @@ func TestLinearizableUnderEachInjectionPoint(t *testing.T) {
 // failures, forced closes, tantrums, and scheduling delays interacting —
 // and requires linearizability to survive the combination.
 func TestLinearizableUnderCombinedFaults(t *testing.T) {
-	for _, mode := range []Reclamation{ReclaimHazard, ReclaimEpoch} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, mode := range reclamationModes {
+		t.Run(mode.name, func(t *testing.T) {
 			chaos.Reset()
 			defer chaos.Reset()
 			chaos.EnableAll(0.15)
-			cfg := Config{RingOrder: 1, StarvationLimit: 4, Reclamation: mode}
+			cfg := Config{RingOrder: 1, StarvationLimit: 4, NoHazard: mode.noHazard}
 			chaosCampaign(t, cfg, 40, 3, 6, 77)
 			var hits int
 			for _, p := range chaos.Points() {
@@ -138,72 +135,124 @@ func TestLinearizableUnderCombinedFaults(t *testing.T) {
 }
 
 // TestBoundedStalledReclaimerChaos is the stalled-reclaimer scenario the
-// bounded-memory guarantee is really about: an epoch-mode bounded queue
-// with one participant parked pinned (a stuck goroutine), chaos delays
-// widening the stall-scan and epoch windows, and live traffic. The queue
-// must declare the stall (instead of freezing reclamation), keep the ring
-// chain within budget throughout, and preserve FIFO order — and the
-// stall-scan injection point must actually fire.
+// bounded-memory guarantee is about: a ring-bounded queue with one handle
+// parked with both hazard slots published (a stuck goroutine), chaos
+// widening the hazard and capacity-gate windows, and live traffic that
+// retires the parked handle's rings. The parked handle can hold back only
+// those two rings, so the chain must stay within budget throughout, the
+// parked rings must never be recycled under the handle, and FIFO order must
+// hold afterwards.
+//
+// The scenario runs as several short episodes on fresh queues: under -race,
+// sync.Pool drops a quarter of its Puts, so a ring wrongly recycled in one
+// episode may never be reused where the watcher can see it.
 func TestBoundedStalledReclaimerChaos(t *testing.T) {
 	chaos.Reset()
 	defer chaos.Reset()
-	// The parked handle yields exactly one stall declaration, and the
-	// stall-scan point fires at most once per declaration — so anything
-	// below probability 1 makes the "never fired; scenario is vacuous"
-	// check below a coin flip. Fire it deterministically.
-	chaos.Set(chaos.StallScan, 1)
-	chaos.Set(chaos.EpochWindow, 0.3)
+	chaos.Set(chaos.HazardWindow, 0.3)
 	chaos.Set(chaos.CapacityGate, 0.3)
-	const maxRings = 4
-	q := NewLCRQ(Config{
-		RingOrder:   1,
-		Reclamation: ReclaimEpoch,
-		MaxRings:    maxRings,
-		StallAge:    time.Millisecond,
-	})
-	stalled := q.NewHandle()
-	stalled.enter() // parks pinned for the whole test
+	var recycled int64
+	for episode := 0; episode < 4; episode++ {
+		recycled += stalledReclaimerEpisode(t)
+	}
+	if chaos.Fired(chaos.HazardWindow) == 0 {
+		t.Fatal("hazard-window injection point never fired; scenario is vacuous")
+	}
+	t.Logf("rings recycled: %d; fired: hazard-window %d, capacity-gate %d",
+		recycled, chaos.Fired(chaos.HazardWindow), chaos.Fired(chaos.CapacityGate))
+}
+
+// stalledReclaimerEpisode runs one episode of
+// TestBoundedStalledReclaimerChaos and returns how many rings its traffic
+// took from the recycler.
+func stalledReclaimerEpisode(t *testing.T) int64 {
+	const (
+		maxRings = 4
+		rounds   = 1000
+	)
+	q := NewLCRQ(Config{RingOrder: 1, MaxRings: maxRings})
+	// Park a handle with both slots published. With R = 2 the third
+	// enqueue appends a second ring while protecting the first, and the
+	// fourth moves the tail slot onto the new ring; one dequeue then leaves
+	// the head slot on the first.
+	parked := q.NewHandle()
+	defer parked.Release()
+	for v := uint64(1); v <= 4; v++ {
+		if !q.Enqueue(parked, v) {
+			t.Fatalf("parked enqueue %d rejected", v)
+		}
+	}
+	tailRing := q.tail.Load()
+	if v, ok := q.Dequeue(parked); !ok || v != 1 {
+		t.Fatalf("parked dequeue = %d,%v, want 1,true", v, ok)
+	}
+	headRing := q.head.Load()
+	if headRing == tailRing {
+		t.Fatal("parked slots share one ring; the scenario needs two")
+	}
+
+	// A ring's tail word only grows (F&A, then the closed bit) until reset
+	// zeroes it for reuse, so a value below one already observed means the
+	// ring was recycled while the parked handle protected it. Each watcher
+	// reads the floor before the tail, so a concurrent watcher's newer
+	// observation cannot raise the floor past the value being checked.
+	parkedRings := [2]*CRQ{headRing, tailRing}
+	var floors [2]atomic.Uint64
+	var resets atomic.Int64
+	watch := func() {
+		for i, r := range parkedRings {
+			floor := floors[i].Load()
+			tail := r.tail.Load()
+			if tail < floor {
+				resets.Add(1)
+				continue
+			}
+			for floor < tail && !floors[i].CompareAndSwap(floor, tail) {
+				floor = floors[i].Load()
+			}
+		}
+	}
+	watch()
+
 	var wg sync.WaitGroup
-	var violations atomic.Int64
-	stop := make(chan struct{})
+	var overBudget, recycled atomic.Int64
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			h := q.NewHandle()
 			defer h.Release()
-			i := uint64(0)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+			for i := 0; i < rounds; i++ {
+				// Two bursts of four fill the four two-cell rings, so the
+				// capacity gate turns enqueues away.
+				for j := 0; j < 4; j++ {
+					q.Enqueue(h, uint64(w+1)<<32|uint64(4*i+j))
 				}
-				if q.Enqueue(h, uint64(w)<<32|i+1) {
-					i++
+				watch()
+				for j := 0; j < 4; j++ {
+					q.Dequeue(h)
 				}
-				q.Dequeue(h)
 				if q.LiveRings() > maxRings {
-					violations.Add(1)
+					overBudget.Add(1)
 				}
-				q.KickReclaim(h)
+				watch()
 			}
+			recycled.Add(int64(h.C.Recycled))
 		}(w)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for q.EpochStalls() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	close(stop)
 	wg.Wait()
-	if q.EpochStalls() == 0 {
-		t.Fatal("stalled participant was never declared under chaos")
-	}
-	if n := violations.Load(); n > 0 {
+	watch()
+	if n := overBudget.Load(); n > 0 {
 		t.Fatalf("ring budget violated %d times with a stalled reclaimer", n)
 	}
-	if chaos.Fired(chaos.StallScan) == 0 {
-		t.Fatal("stall-scan injection point never fired; scenario is vacuous")
+	if n := resets.Load(); n > 0 {
+		t.Fatalf("a ring protected by the parked handle was recycled under it (%d observations)", n)
+	}
+	if head := q.head.Load(); head == headRing || head == tailRing {
+		t.Fatal("traffic never retired the parked handle's rings; the scenario is vacuous")
+	}
+	if recycled.Load() == 0 {
+		t.Fatal("no ring was recycled; the scenario is vacuous")
 	}
 	// The queue must still be fully usable: drain, then FIFO round-trip.
 	h := q.NewHandle()
@@ -213,16 +262,17 @@ func TestBoundedStalledReclaimerChaos(t *testing.T) {
 			break
 		}
 	}
-	for i := uint64(1); i <= 8; i++ {
-		q.Enqueue(h, i)
+	for i := uint64(1); i <= 6; i++ {
+		if !q.Enqueue(h, i) {
+			t.Fatalf("post-stall enqueue %d rejected", i)
+		}
 	}
-	for i := uint64(1); i <= 8; i++ {
+	for i := uint64(1); i <= 6; i++ {
 		if v, ok := q.Dequeue(h); !ok || v != i {
 			t.Fatalf("post-stall FIFO broken: got (%d,%v), want (%d,true)", v, ok, i)
 		}
 	}
-	stalled.exit()
-	stalled.Release()
+	return recycled.Load()
 }
 
 // TestCloseDrainUnderChaos runs the close/drain protocol with every fault
@@ -335,12 +385,12 @@ func TestSCQLinearizableUnderEachInjectionPoint(t *testing.T) {
 // TestSCQLinearizableUnderCombinedFaults arms every point at once over the
 // SCQ engine, under both reclamation modes.
 func TestSCQLinearizableUnderCombinedFaults(t *testing.T) {
-	for _, mode := range []Reclamation{ReclaimHazard, ReclaimEpoch} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, mode := range reclamationModes {
+		t.Run(mode.name, func(t *testing.T) {
 			chaos.Reset()
 			defer chaos.Reset()
 			chaos.EnableAll(0.15)
-			cfg := Config{RingOrder: 1, StarvationLimit: 4, Ring: RingSCQ, Reclamation: mode}
+			cfg := Config{RingOrder: 1, StarvationLimit: 4, Ring: RingSCQ, NoHazard: mode.noHazard}
 			chaosCampaign(t, cfg, 40, 3, 6, 99)
 			var hits int
 			for _, p := range chaos.Points() {

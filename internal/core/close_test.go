@@ -116,19 +116,19 @@ func TestCloseConcurrent(t *testing.T) {
 // release guard: the second Release must panic loudly instead of returning
 // the same reclamation record to the domain twice.
 func TestHandleDoubleReleasePanics(t *testing.T) {
-	for _, mode := range []Reclamation{ReclaimHazard, ReclaimEpoch, ReclaimGC} {
-		q := NewLCRQ(Config{Reclamation: mode})
+	for _, mode := range reclamationModes {
+		q := NewLCRQ(Config{NoHazard: mode.noHazard})
 		h := q.NewHandle()
 		h.Release()
 		func() {
 			defer func() {
 				r := recover()
 				if r == nil {
-					t.Fatalf("%v: second Release did not panic", mode)
+					t.Fatalf("%s: second Release did not panic", mode.name)
 				}
 				msg, ok := r.(string)
 				if !ok || !strings.Contains(msg, "released twice") {
-					t.Fatalf("%v: panic %v lacks a clear double-release message", mode, r)
+					t.Fatalf("%s: panic %v lacks a clear double-release message", mode.name, r)
 				}
 			}()
 			h.Release()

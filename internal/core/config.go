@@ -29,12 +29,6 @@ const (
 	// DefaultTraceSampleN is the default 1-in-N item-trace sampling stride
 	// when tracing is enabled without an explicit rate.
 	DefaultTraceSampleN = 1024
-	// DefaultStallAge is the age past which a pinned epoch record lagging
-	// the global epoch is declared stalled-by-policy, when stall recovery
-	// is enabled without an explicit age. Bounded epoch-mode queues enable
-	// it automatically: a bounded queue that cannot reclaim is a queue that
-	// cannot accept.
-	DefaultStallAge = 10 * time.Millisecond
 	// DefaultWatchdogInterval is the watchdog check period when enabled
 	// without an explicit interval.
 	DefaultWatchdogInterval = 100 * time.Millisecond
@@ -55,26 +49,6 @@ const (
 	// MaxAdaptBoost bounds any configured boost shift so the widened
 	// starvation limit stays far from overflowing the tries counter.
 	MaxAdaptBoost = 16
-)
-
-// Reclamation selects how retired CRQ rings are protected and reclaimed.
-type Reclamation int
-
-const (
-	// ReclaimHazard is the paper-faithful default: hazard pointers protect
-	// the ring an operation works in, and retired rings are recycled once
-	// unprotected. Per-operation cost: one load-compare while the ring is
-	// unchanged; publication (store, fence, revalidating reread — §5
-	// footnote 6 of the paper) only when it changes.
-	ReclaimHazard Reclamation = iota
-	// ReclaimEpoch uses epoch-based reclamation: one pin/unpin pair per
-	// operation, cheaper than hazard publication, but a stalled thread
-	// delays all reclamation. Rings are still recycled.
-	ReclaimEpoch
-	// ReclaimGC relies entirely on Go's garbage collector: zero
-	// per-operation overhead, no recycling (each appended ring is a fresh
-	// allocation). Unavailable to the paper's C implementation.
-	ReclaimGC
 )
 
 // RingKind selects the ring engine inside each CRQ segment.
@@ -103,18 +77,6 @@ func (k RingKind) String() string {
 		return "scq"
 	default:
 		return "auto"
-	}
-}
-
-// String returns the mode name used in benchmarks and docs.
-func (r Reclamation) String() string {
-	switch r {
-	case ReclaimEpoch:
-		return "epoch"
-	case ReclaimGC:
-		return "gc"
-	default:
-		return "hazard"
 	}
 }
 
@@ -162,19 +124,14 @@ type Config struct {
 	// default to keep ring allocation off the enqueue path.
 	NoRecycle bool
 
-	// NoHazard removes hazard pointers from the operation path entirely.
-	// In the paper's C setting this would be a use-after-free; under Go's
-	// garbage collector it is safe, and the option exists to measure what
-	// the paper-faithful hazard-pointer publication (store + fence +
-	// revalidate, §5 footnote 6) costs per operation. NoHazard implies
-	// NoRecycle, since recycling is exactly what requires reclamation
-	// safety. Equivalent to Reclamation: ReclaimGC.
+	// NoHazard selects GC-only reclamation: hazard pointers leave the
+	// operation path entirely. In the paper's C setting this would be a
+	// use-after-free; under Go's garbage collector it is safe, and the
+	// option exists to measure what the paper-faithful hazard pointers
+	// (§5 footnote 6; sticky slots, DESIGN.md §18) cost per operation.
+	// NoHazard implies NoRecycle, since recycling is exactly what requires
+	// reclamation safety.
 	NoHazard bool
-
-	// Reclamation selects the safe-memory-reclamation scheme; see the
-	// Reclamation constants. The zero value is the paper-faithful
-	// ReclaimHazard. Setting NoHazard forces ReclaimGC.
-	Reclamation Reclamation
 
 	// Telemetry enables the live telemetry layer: per-handle counters are
 	// periodically published for lock-free aggregation, per-op latency is
@@ -229,23 +186,6 @@ type Config struct {
 	// and otherwise leaves the chain unbounded. Values below MinMaxRings
 	// are raised to it — a budget of 1 would wedge on the first ring close.
 	MaxRings int
-
-	// ReclamationBatch is the hazard-pointer scan threshold: a thread's
-	// retired list is scanned once it holds ReclamationBatch × (number of
-	// participating records) entries. Smaller values tighten the
-	// retired-memory bound at the cost of more frequent O(H) scans. 0
-	// selects the hazard package default (8).
-	ReclamationBatch int
-
-	// StallAge is the epoch-reclamation stall threshold: a pinned record
-	// observed lagging the global epoch for longer than StallAge is
-	// declared stalled-by-policy, excluded from blocking advancement, and
-	// reported via the Tap (EvEpochStall); while any record is stalled,
-	// reclaimed rings are dropped to the garbage collector instead of
-	// recycled, since the stalled thread may still hold them. 0 disables
-	// stall detection except in bounded epoch mode, where DefaultStallAge
-	// is applied; negative disables it unconditionally.
-	StallAge time.Duration
 
 	// Watchdog is the health-check interval of the public layer's
 	// background watchdog; 0 disables it. Consumed above core (like
@@ -327,10 +267,6 @@ func (c Config) normalized() Config {
 		c.LatencySampleN = 0 // sampling disabled
 	}
 	if c.NoHazard {
-		c.Reclamation = ReclaimGC
-	}
-	if c.Reclamation == ReclaimGC {
-		c.NoHazard = true
 		c.NoRecycle = true
 	}
 	if c.Capacity < 0 {
@@ -345,15 +281,6 @@ func (c Config) normalized() Config {
 	}
 	if c.MaxRings > 0 && c.MaxRings < MinMaxRings {
 		c.MaxRings = MinMaxRings
-	}
-	if c.ReclamationBatch < 0 {
-		c.ReclamationBatch = 0
-	}
-	if c.StallAge == 0 && c.Reclamation == ReclaimEpoch && c.MaxRings > 0 {
-		c.StallAge = DefaultStallAge
-	}
-	if c.StallAge < 0 {
-		c.StallAge = 0
 	}
 	if c.Watchdog < 0 {
 		c.Watchdog = 0

@@ -4,7 +4,6 @@ import (
 	"runtime"
 
 	"lcrq/internal/contention"
-	"lcrq/internal/epoch"
 	"lcrq/internal/hazard"
 	"lcrq/internal/instrument"
 )
@@ -39,8 +38,7 @@ type Handle struct {
 	// of whether adaptation is armed.
 	Ctl contention.Controller
 
-	hp       *hazard.Record[CRQ] // non-nil in ReclaimHazard mode
-	ep       *epoch.Record[CRQ]  // non-nil in ReclaimEpoch mode
+	hp       *hazard.Record[CRQ] // nil in GC mode (Config.NoHazard)
 	owner    *LCRQ
 	guard    *recoveryGuard // orphan-recovery finalizer anchor; nil in GC mode
 	released bool
@@ -60,11 +58,10 @@ type Handle struct {
 	traceHitBuf    [traceBatchMax]TraceHit
 }
 
-// recoveryGuard recovers the reclamation record of a handle that is leaked
+// recoveryGuard recovers the hazard record of a handle that is leaked
 // instead of Released: a goroutine that exits (or panics away) without
-// Release would otherwise leave a hazard record permanently active — or,
-// worse, an epoch record permanently pinned, freezing reclamation for the
-// whole queue.
+// Release would otherwise leave the record permanently active, its sticky
+// slots holding up to two rings back from the recycler forever.
 //
 // The guard deliberately holds the record and queue pointers itself rather
 // than the Handle: a finalizer's closure is a GC root, so a finalizer that
@@ -74,7 +71,6 @@ type Handle struct {
 // disarms the finalizer first, making the orderly path free of it.
 type recoveryGuard struct {
 	hp *hazard.Record[CRQ]
-	ep *epoch.Record[CRQ]
 	q  *LCRQ
 }
 
@@ -83,34 +79,22 @@ type recoveryGuard struct {
 // runs once the owning Handle is unreachable, and Handles are
 // single-threaded by contract.
 func (g *recoveryGuard) recover() {
-	if g.ep != nil {
-		// A leaked handle may have died pinned (goroutine killed by panic
-		// between Pin and Unpin is impossible — exit() is deferred — but a
-		// handle abandoned mid-API-misuse may be). Unpin before Release so
-		// the record pool never receives a pinned record.
-		if g.ep.Pinned() {
-			g.ep.Unpin()
-		}
-		g.ep.Release()
-	}
-	if g.hp != nil {
-		g.hp.Release()
-	}
+	g.hp.Release()
 	g.q.orphans.Add(1)
 	g.q.tap(EvOrphanRecover)
 }
 
 // armRecovery attaches the orphan-recovery finalizer to h.
 func (h *Handle) armRecovery(q *LCRQ) {
-	g := &recoveryGuard{hp: h.hp, ep: h.ep, q: q}
+	g := &recoveryGuard{hp: h.hp, q: q}
 	h.guard = g
 	runtime.SetFinalizer(g, (*recoveryGuard).recover)
 }
 
-// Release returns the handle's reclamation record to its queue's domain.
+// Release returns the handle's hazard record to its queue's domain.
 // The handle must not be used afterwards. Releasing a handle twice panics:
-// the second release would hand the same reclamation record to two future
-// handles, silently corrupting the hazard/epoch domain's record pool.
+// the second release would hand the same record to two future handles,
+// silently corrupting the hazard domain's record pool.
 func (h *Handle) Release() {
 	if h.released {
 		panic("core: Handle released twice; a released handle must not be reused")
@@ -123,10 +107,6 @@ func (h *Handle) Release() {
 	if h.hp != nil {
 		h.hp.Release()
 		h.hp = nil
-	}
-	if h.ep != nil {
-		h.ep.Release()
-		h.ep = nil
 	}
 	h.owner = nil
 }

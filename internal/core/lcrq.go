@@ -8,7 +8,6 @@ import (
 
 	"lcrq/internal/chaos"
 	"lcrq/internal/contention"
-	"lcrq/internal/epoch"
 	"lcrq/internal/hazard"
 	"lcrq/internal/pad"
 )
@@ -52,9 +51,8 @@ type LCRQ struct {
 	// value-receiver call on the ~200-byte Config copies it, and every
 	// dequeue and successful enqueue asks. Set once in NewLCRQ.
 	bounded bool
-	dom     *hazard.Domain[CRQ]
-	edom    *epoch.Domain[CRQ]
-	pool    sync.Pool // recycled *CRQ rings (nil Reclaim when NoRecycle)
+	dom     *hazard.Domain[CRQ] // nil when cfg.NoHazard
+	pool    sync.Pool           // recycled *CRQ rings (unused when NoRecycle)
 
 	// shared is the queue-wide half of the adaptive contention controller
 	// (nil unless cfg.AdaptiveContention): the watchdog's remediation boost,
@@ -84,7 +82,7 @@ type LCRQ struct {
 	full    atomic.Bool   //lcrq:cold
 
 	// orphans counts handles recovered by the leak finalizer (see
-	// recoveryGuard); stalls are counted by the epoch domain.
+	// recoveryGuard).
 	orphans atomic.Uint64 //lcrq:cold
 }
 
@@ -95,17 +93,8 @@ func NewLCRQ(cfg Config) *LCRQ {
 	if cfg.AdaptiveContention {
 		q.shared = contention.NewShared(cfg.AdaptBoostMax)
 	}
-	switch cfg.Reclamation {
-	case ReclaimHazard:
+	if !cfg.NoHazard {
 		q.dom = hazard.New[CRQ](hpSlots)
-		if cfg.ReclamationBatch > 0 {
-			q.dom.SetScanThreshold(cfg.ReclamationBatch)
-		}
-	case ReclaimEpoch:
-		q.edom = epoch.New[CRQ]()
-		if cfg.StallAge > 0 {
-			q.edom.SetStallPolicy(cfg.StallAge, func() { q.tap(EvEpochStall) })
-		}
 	}
 	first := NewCRQ(cfg)
 	q.head.Store(first)
@@ -127,47 +116,23 @@ func (q *LCRQ) Config() Config { return q.cfg }
 
 // NewHandle returns a per-thread handle bound to this queue. The caller
 // must Release it when the thread stops using the queue; a handle that is
-// leaked instead (its goroutine exits without Release) has its reclamation
-// record recovered by a finalizer so it cannot freeze recycling forever
-// (see recoveryGuard).
+// leaked instead (its goroutine exits without Release) has its hazard
+// record recovered by a finalizer, so the two rings its slots hold are not
+// kept from the recycler forever (see recoveryGuard).
 func (q *LCRQ) NewHandle() *Handle {
-	var h *Handle
-	switch q.cfg.Reclamation {
-	case ReclaimEpoch:
-		h = &Handle{ep: q.edom.Acquire(), owner: q}
-	case ReclaimGC:
-		h = &Handle{owner: q} // no reclamation record: nothing to leak
-		h.initTrace(q.cfg)
-		h.initContention(q)
-		return h
-	default:
-		h = &Handle{hp: q.dom.Acquire(), owner: q}
-	}
+	h := &Handle{owner: q}
 	h.initTrace(q.cfg)
 	h.initContention(q)
-	h.armRecovery(q)
+	if q.dom != nil { // GC mode has no reclamation record, so nothing to leak
+		h.hp = q.dom.Acquire()
+		h.armRecovery(q)
+	}
 	return h
 }
 
-// enter begins an operation's reclamation-protected region; the returned
-// function ends it. Only the epoch scheme needs region brackets; hazard
-// pointers protect per-pointer and GC mode needs nothing.
-func (h *Handle) enter() {
-	if h.ep != nil {
-		h.ep.Pin()
-	}
-}
-
-func (h *Handle) exit() {
-	if h.ep != nil {
-		h.ep.Unpin()
-	}
-}
-
-// protect pins the CRQ currently referenced by src. In epoch mode the
-// operation-wide pin already protects everything reachable, and in GC mode
-// the garbage collector does, so a plain load suffices for both; only
-// hazard mode needs the publish-and-revalidate dance.
+// protect pins the CRQ currently referenced by src. In GC mode the garbage
+// collector protects everything reachable, so a plain load suffices; hazard
+// mode needs the publish-and-revalidate dance.
 //
 // Hazard slots are never cleared between operations: the slot keeps the
 // ring published until the handle's next protect of that slot (a
@@ -175,16 +140,16 @@ func (h *Handle) exit() {
 // holds at most two rings (hpHead, hpTail) back from recycling while idle —
 // the same bound as a handle paused mid-operation.
 //
-// A handle with neither record on a queue that runs a reclamation scheme is
-// a detached core.NewHandle() being misused: its operations would silently
-// run unprotected, letting rings be recycled under it. That is a
+// A handle without a record on a hazard-mode queue is a detached
+// core.NewHandle() being misused: its operations would silently run
+// unprotected, letting rings be recycled under it. That is a
 // use-after-recycle waiting to corrupt the queue, so it fails fast here —
 // the check costs nothing in the default hazard mode (the h.hp == nil
-// branch is not taken) and two nil checks in GC mode.
+// branch is not taken) and one flag test in GC mode.
 func (q *LCRQ) protect(h *Handle, slot int, src *atomic.Pointer[CRQ]) *CRQ {
 	if h.hp == nil {
-		if h.ep == nil && q.cfg.Reclamation != ReclaimGC {
-			panic("core: detached NewHandle() used with a hazard/epoch-mode LCRQ; obtain handles from (*LCRQ).NewHandle")
+		if !q.cfg.NoHazard {
+			panic("core: detached NewHandle() used with a hazard-mode LCRQ; obtain handles from (*LCRQ).NewHandle")
 		}
 		return src.Load()
 	}
@@ -244,11 +209,8 @@ func (q *LCRQ) retireRing(h *Handle, r *CRQ) {
 			q.pool.Put(old)
 		}
 	}
-	switch {
-	case h.hp != nil:
+	if h.hp != nil {
 		h.hp.Retire(r, reclaim)
-	case h.ep != nil:
-		h.ep.Retire(r, reclaim)
 	}
 }
 
@@ -281,8 +243,6 @@ const depthWalkLimit = 1024
 // walk reads them, and rings past the protected head may be recycled
 // mid-walk. Cost is one atomic load pair per ring; nothing on the op path.
 func (q *LCRQ) Depth(h *Handle) (depth int64, rings int) {
-	h.enter()
-	defer h.exit()
 	crq := q.protect(h, hpHead, &q.head)
 	for crq != nil && rings < depthWalkLimit {
 		t := crq.tail.Load() &^ closedBit
@@ -458,8 +418,6 @@ func (q *LCRQ) EnqueueBatch(h *Handle, vs []uint64) (int, EnqStatus) {
 //
 //lcrq:hotpath
 func (q *LCRQ) enqueueBatch(h *Handle, vs []uint64) (int, EnqStatus) {
-	h.enter()
-	defer h.exit()
 	accepted := 0
 	for {
 		crq := q.protect(h, hpTail, &q.tail)
@@ -636,29 +594,9 @@ func (q *LCRQ) DecayContention() (uint64, bool) {
 	return q.shared.Decay()
 }
 
-// EpochStalls returns how many stall-by-policy declarations the epoch
-// domain has made (0 outside epoch mode).
-func (q *LCRQ) EpochStalls() uint64 {
-	if q.edom == nil {
-		return 0
-	}
-	return q.edom.Stalls()
-}
-
 // OrphanRecoveries returns how many leaked handles (never Released) had
 // their reclamation records recovered by the orphan finalizer.
 func (q *LCRQ) OrphanRecoveries() uint64 { return q.orphans.Load() }
-
-// KickReclaim forces one reclamation step outside the amortized operation
-// schedule: an epoch-advance attempt in epoch mode, nothing elsewhere
-// (hazard scans are already driven by retirement counts, GC mode has no
-// scheme). Watchdogs call it so reclamation keeps moving when operation
-// traffic — whose Unpins normally drive advancement — has stopped.
-func (q *LCRQ) KickReclaim(h *Handle) {
-	if h.ep != nil {
-		h.ep.TryAdvance()
-	}
-}
 
 // enqueue is the core protocol loop of Figure 5, extended with the queue
 // close check (PR 1) and the ring budget gate (bounded mode). The
@@ -668,8 +606,6 @@ func (q *LCRQ) KickReclaim(h *Handle) {
 //
 //lcrq:hotpath
 func (q *LCRQ) enqueue(h *Handle, v uint64) EnqStatus {
-	h.enter()
-	defer h.exit()
 	for {
 		crq := q.protect(h, hpTail, &q.tail)
 		if next := crq.next.Load(); next != nil {
@@ -747,8 +683,6 @@ func (q *LCRQ) Close(h *Handle) {
 	if q.closed.CompareAndSwap(false, true) {
 		q.tap(EvQueueClose)
 	}
-	h.enter()
-	defer h.exit()
 	// Close every ring reachable at the chain's end. An appender that
 	// published a ring before observing the closed flag re-checks the flag
 	// after publication (see Enqueue), so any ring this walk misses is
@@ -783,8 +717,6 @@ func (q *LCRQ) Closed() bool { return q.closed.Load() }
 //
 //lcrq:hotpath
 func (q *LCRQ) Dequeue(h *Handle) (v uint64, ok bool) {
-	h.enter()
-	defer h.exit()
 	if q.traced {
 		h.traceHits = 0
 	}
@@ -842,8 +774,6 @@ func (q *LCRQ) DequeueBatch(h *Handle, out []uint64) int {
 		return 0
 	}
 	h.C.BatchDequeues++
-	h.enter()
-	defer h.exit()
 	if q.traced {
 		h.traceHits = 0
 	}

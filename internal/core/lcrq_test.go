@@ -8,6 +8,13 @@ import (
 	"time"
 )
 
+// reclamationModes are the queue's two reclamation configurations: the
+// paper's hazard pointers (the default) and the GC-only ablation.
+var reclamationModes = []struct {
+	name     string
+	noHazard bool
+}{{"hazard", false}, {"gc", true}}
+
 func newSmallLCRQ(order int) *LCRQ {
 	return NewLCRQ(Config{RingOrder: order, NoPadding: true})
 }
@@ -248,46 +255,12 @@ func TestLCRQConcurrentNoHazard(t *testing.T) {
 	lcrqStress(t, Config{RingOrder: 2, NoPadding: true, NoHazard: true}, 4, 4, 2000)
 }
 
-func TestLCRQConcurrentEpoch(t *testing.T) {
-	lcrqStress(t, Config{RingOrder: 2, NoPadding: true, Reclamation: ReclaimEpoch}, 4, 4, 2000)
-}
-
-func TestLCRQEpochRecycles(t *testing.T) {
-	q := NewLCRQ(Config{RingOrder: 1, NoPadding: true, Reclamation: ReclaimEpoch})
-	h := q.NewHandle()
-	defer h.Release()
-	next, expect := uint64(1), uint64(1)
-	for i := 0; i < 2000; i++ {
-		for j := 0; j < 5; j++ {
-			q.Enqueue(h, next)
-			next++
-		}
-		for j := 0; j < 5; j++ {
-			v, ok := q.Dequeue(h)
-			if !ok || v != expect {
-				t.Fatalf("batch %d: got (%d,%v), want %d", i, v, ok, expect)
-			}
-			expect++
-		}
-	}
-	if h.C.Appends == 0 {
-		t.Fatal("workload never appended a ring")
-	}
-	if h.C.Recycled == 0 {
-		t.Fatal("epoch mode never recycled a ring")
-	}
-}
-
 func TestReclamationModeNormalization(t *testing.T) {
-	if (Config{NoHazard: true}).normalized().Reclamation != ReclaimGC {
-		t.Fatal("NoHazard did not force ReclaimGC")
+	if c := (Config{}).normalized(); c.NoHazard || c.NoRecycle {
+		t.Fatal("the default configuration must reclaim with hazard pointers and recycle")
 	}
-	c := Config{Reclamation: ReclaimGC}.normalized()
-	if !c.NoRecycle || !c.NoHazard {
-		t.Fatal("ReclaimGC did not imply NoRecycle/NoHazard")
-	}
-	if ReclaimHazard.String() != "hazard" || ReclaimEpoch.String() != "epoch" || ReclaimGC.String() != "gc" {
-		t.Fatal("mode names wrong")
+	if c := (Config{NoHazard: true}).normalized(); !c.NoRecycle {
+		t.Fatal("NoHazard did not imply NoRecycle")
 	}
 }
 
@@ -386,11 +359,23 @@ func TestLCRQRecyclingReusesRings(t *testing.T) {
 // TestIdleHandleRingsRecycledAfterRelease pins the memory bound of sticky
 // hazard slots: a handle that goes idle keeps at most the two rings its
 // slots last protected (hpHead, hpTail) from the recycler, however far
-// another handle churns, and its Release lets them through.
+// another handle churns, and its Release lets them through. The ring-
+// bounded input shows that the held rings do not eat the ring budget: they
+// are unlinked, so a bounded queue keeps accepting around an idle handle.
 func TestIdleHandleRingsRecycledAfterRelease(t *testing.T) {
-	// R = 2 appends a ring every few enqueues; a batch of 1 scans a retired
-	// list as soon as it holds one entry per record.
-	q := NewLCRQ(Config{RingOrder: 1, NoPadding: true, ReclamationBatch: 1})
+	for _, tc := range []struct {
+		name     string
+		maxRings int
+	}{{"unbounded", 0}, {"max-rings-4", 4}} {
+		t.Run(tc.name, func(t *testing.T) { idleHandleRings(t, tc.maxRings) })
+	}
+}
+
+func idleHandleRings(t *testing.T, maxRings int) {
+	// R = 2 appends a ring every few enqueues; a scan threshold of 1 scans
+	// a retired list as soon as it holds one entry per record.
+	q := NewLCRQ(Config{RingOrder: 1, NoPadding: true, MaxRings: maxRings})
+	q.dom.SetScanThreshold(1)
 	var handles []*Handle
 	newHandle := func() *Handle {
 		h := q.NewHandle()
@@ -418,6 +403,9 @@ func TestIdleHandleRingsRecycledAfterRelease(t *testing.T) {
 			for j := 0; j < 5; j++ {
 				deq(h)
 			}
+			if maxRings > 0 && q.LiveRings() > int64(maxRings) {
+				t.Fatalf("round %d: LiveRings = %d exceeds budget %d", i, q.LiveRings(), maxRings)
+			}
 		}
 	}
 	// held counts rings unlinked from the list but not yet handed to the
@@ -435,8 +423,9 @@ func TestIdleHandleRingsRecycledAfterRelease(t *testing.T) {
 	idle, active := newHandle(), newHandle()
 	// The idle handle appends rings with enqueues alone, so it retires
 	// nothing itself, then dequeues once from the head ring. Its tail slot
-	// is left on a later ring than its head slot.
-	for i := 0; i < 9; i++ {
+	// is left on a later ring than its head slot. Seven items fill exactly
+	// four rings, so the prelude fits the bounded input's budget.
+	for i := 0; i < 7; i++ {
 		enq(idle)
 	}
 	deq(idle)
@@ -446,6 +435,9 @@ func TestIdleHandleRingsRecycledAfterRelease(t *testing.T) {
 	// The active handle drains past every ring the idle one touched and
 	// churns on; Release clears its own slots and scans its retired list,
 	// so only what the idle handle's slots protect stays out of the pool.
+	for expect < next {
+		deq(active)
+	}
 	churn(active, 200)
 	active.Release()
 	n := held()

@@ -30,15 +30,11 @@ const (
 	// rejection after a successful enqueue), not per rejected call, so a
 	// polling EnqueueWait cannot flood the trace.
 	EvCapacityReject
-	// EvEpochStall: a pinned epoch record lagged the global epoch past the
-	// configured stall age and was declared stalled-by-policy, unblocking
-	// reclamation (recycling is suppressed while it remains stalled).
-	EvEpochStall
 	// EvOrphanRecover: a handle leaked without Release had its reclamation
 	// record returned to the domain by the orphan-recovery finalizer.
 	EvOrphanRecover
 	// EvWatchdogAlert: the watchdog's health verdict transitioned from ok
-	// to a detected problem (tantrum storm, capacity stall, epoch stall).
+	// to a detected problem (tantrum storm, append livelock, capacity stall).
 	EvWatchdogAlert
 	// EvWatchdogRecover: the watchdog's health verdict returned to ok after
 	// a problem, having stayed clean for the recovery hysteresis window
@@ -66,7 +62,6 @@ var ringEventNames = [NumRingEvents]string{
 	EvRingRetire:      "ring-retire",
 	EvQueueClose:      "queue-close",
 	EvCapacityReject:  "capacity-reject",
-	EvEpochStall:      "epoch-stall",
 	EvOrphanRecover:   "orphan-recover",
 	EvWatchdogAlert:   "watchdog-alert",
 	EvWatchdogRecover: "watchdog-recover",

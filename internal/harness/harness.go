@@ -311,9 +311,8 @@ type wdOutcome struct {
 // watchGovernance samples a governed queue's budget stats every interval
 // and derives a health verdict: "capacity-stall" when the queue sat pinned
 // at capacity (rejections with no item-count movement) for two consecutive
-// checks, "epoch-stall" when the reclamation stall detector fired, "ok"
-// otherwise. Problem verdicts are sticky for the run — a benchmark that
-// livelocked even briefly should say so.
+// checks, "ok" otherwise. Problem verdicts are sticky for the run — a
+// benchmark that livelocked even briefly should say so.
 func watchGovernance(gq queues.Governed, interval time.Duration, stop <-chan struct{}, done chan<- wdOutcome) {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
@@ -335,9 +334,6 @@ func watchGovernance(gq queues.Governed, interval time.Duration, stop <-chan str
 			}
 			if fullTicks >= 2 {
 				out.verdict = "capacity-stall"
-			}
-			if cur.EpochStalls > prev.EpochStalls && out.verdict == "ok" {
-				out.verdict = "epoch-stall"
 			}
 			prev = cur
 		}

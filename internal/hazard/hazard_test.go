@@ -381,8 +381,8 @@ func TestConcurrentListTraversal(t *testing.T) {
 
 // TestSetScanThresholdBoundsRetired verifies the configurable reclamation
 // batch: with threshold k and n records, a record's retired list never
-// holds more than k×n entries (the bound WithReclamationBatch advertises),
-// and a sub-1 threshold falls back to the default.
+// holds more than k×n entries, and a sub-1 threshold falls back to the
+// default.
 func TestSetScanThresholdBoundsRetired(t *testing.T) {
 	d := New[node](1)
 	d.SetScanThreshold(2)

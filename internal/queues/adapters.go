@@ -54,14 +54,6 @@ func init() {
 	Register("sim-queue", func(cfg Config) Queue {
 		return &simAdapter{q: simqueue.New()}
 	})
-	// lcrq-ebr swaps the paper's hazard pointers for epoch-based
-	// reclamation (extension; see internal/epoch).
-	Register("lcrq-ebr", func(cfg Config) Queue {
-		return newLCRQAdapter("lcrq-ebr", cfg, core.Config{
-			RingOrder:   cfg.RingOrder,
-			Reclamation: core.ReclaimEpoch,
-		})
-	})
 }
 
 // combinerBound follows Fatourou and Kallimanis: a combiner applies at most
@@ -112,7 +104,6 @@ func (a *lcrqAdapter) Governance() GovernanceStats {
 		Items:            a.q.Items(),
 		LiveRings:        a.q.LiveRings(),
 		CapacityRejects:  a.q.CapacityRejects(),
-		EpochStalls:      a.q.EpochStalls(),
 		OrphanRecoveries: a.q.OrphanRecoveries(),
 	}
 }

@@ -18,7 +18,7 @@ func testConfig() Config {
 // rely on.
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"cc-queue", "channel", "fc-queue", "h-queue", "kp-queue",
-		"lcrq", "lcrq+h", "lcrq-cas", "lcrq-ebr", "ms-queue", "scq", "sim-queue",
+		"lcrq", "lcrq+h", "lcrq-cas", "ms-queue", "scq", "sim-queue",
 		"twolock"}
 	got := Names()
 	if len(got) != len(want) {
@@ -221,10 +221,10 @@ func TestLinearizability(t *testing.T) {
 }
 
 // TestHandleChurn acquires and releases handles concurrently while
-// operating, exercising reclamation-record reuse (hazard and epoch domains
-// recycle released records across threads).
+// operating, exercising reclamation-record reuse (the hazard domain
+// recycles released records across threads).
 func TestHandleChurn(t *testing.T) {
-	for _, name := range []string{"lcrq", "lcrq-ebr", "lcrq+h", "scq", "fc-queue"} {
+	for _, name := range []string{"lcrq", "lcrq+h", "scq", "fc-queue"} {
 		t.Run(name, func(t *testing.T) {
 			q, err := New(name, testConfig())
 			if err != nil {

@@ -52,7 +52,6 @@ type GovernanceStats struct {
 	Items            int64  `json:"items"`
 	LiveRings        int64  `json:"live_rings"`
 	CapacityRejects  uint64 `json:"capacity_rejects"`
-	EpochStalls      uint64 `json:"epoch_stalls"`
 	OrphanRecoveries uint64 `json:"orphan_recoveries"`
 	// Checks and Verdict are filled by the harness watchdog sampler, not by
 	// the adapter.

@@ -19,9 +19,9 @@ import (
 // enqueues cannot make progress and should be rejected before they touch
 // the hot path: a capacity-stalled queue will reject them anyway (after
 // burning a reservation attempt), and an append-livelocked queue would only
-// deepen the livelock. The remaining verdicts (tantrum-storm, epoch-stall)
-// describe internal churn the queue still absorbs, so traffic keeps
-// flowing through them.
+// deepen the livelock. The remaining verdict (tantrum-storm) describes
+// internal churn the queue still absorbs, so traffic keeps flowing through
+// it.
 var DefaultShedVerdicts = []string{"capacity-stall", "append-livelock"}
 
 // ShedConfig configures a Shedder.

@@ -91,7 +91,6 @@ func TestOptionsApply(t *testing.T) {
 		{"no padding", []Option{WithoutPadding()}},
 		{"no recycling", []Option{WithoutRecycling()}},
 		{"no hazard", []Option{WithoutHazardPointers(), WithRingSize(8)}},
-		{"epoch", []Option{WithEpochReclamation(), WithRingSize(8)}},
 		{"spin", []Option{WithSpinWait(3)}},
 		{"starvation", []Option{WithStarvationLimit(5)}},
 		{"tiny ring", []Option{WithRingSize(1)}}, // clamps to 2

@@ -82,11 +82,8 @@ type Metrics struct {
 	Items           int64
 	CapacityRejects uint64
 
-	// EpochStalls counts reclamation participants declared stalled-by-
-	// policy (WithStallRecovery); OrphanRecoveries counts handles that were
-	// leaked without Release and had their reclamation records recovered by
-	// the finalizer.
-	EpochStalls      uint64
+	// OrphanRecoveries counts handles that were leaked without Release and
+	// had their hazard records recovered by the finalizer.
 	OrphanRecoveries uint64
 
 	// Health is the watchdog's verdict (WithWatchdog); Verdict "disabled"
@@ -194,7 +191,6 @@ func (q *Queue) Metrics() Metrics {
 	m.MaxRings = q.q.MaxRings()
 	m.Items = q.q.Items()
 	m.CapacityRejects = q.q.CapacityRejects()
-	m.EpochStalls = q.q.EpochStalls()
 	m.OrphanRecoveries = q.q.OrphanRecoveries()
 	m.Health = q.Health()
 	m.Contention = ContentionMetrics{

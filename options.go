@@ -79,21 +79,14 @@ func WithoutRecycling() Option {
 	return func(c *core.Config) { c.NoRecycle = true }
 }
 
-// WithoutHazardPointers removes hazard pointers from the operation path
-// entirely, relying on Go's garbage collector for reclamation safety (an
-// option the paper's C implementation does not have). Implies
-// WithoutRecycling. Use to shed the per-operation publication fence when
-// ring churn is rare, or to measure its cost.
+// WithoutHazardPointers selects GC-only reclamation: hazard pointers leave
+// the operation path entirely and Go's garbage collector alone keeps
+// retired rings safe (an option the paper's C implementation does not
+// have). Implies WithoutRecycling, so every appended ring is a fresh
+// allocation. It exists as the DESIGN.md §5 ablation that measures what
+// the hazard pointers cost; see BenchmarkAblationReclamation.
 func WithoutHazardPointers() Option {
 	return func(c *core.Config) { c.NoHazard = true }
-}
-
-// WithEpochReclamation swaps the paper's hazard pointers for epoch-based
-// reclamation: cheaper per operation (one pin/unpin instead of a pointer
-// publication and revalidation) but a stalled thread delays all ring
-// recycling. See the BenchmarkAblationReclamation comparison.
-func WithEpochReclamation() Option {
-	return func(c *core.Config) { c.Reclamation = core.ReclaimEpoch }
 }
 
 // WithSpinWait bounds how long a dequeuer waits for an in-flight matching
@@ -202,42 +195,13 @@ func WithMaxRings(n int) Option {
 	return func(c *core.Config) { c.MaxRings = n }
 }
 
-// WithReclamationBatch sets the hazard-pointer scan threshold: a worker's
-// retired-ring list is scanned for reclamation once it holds n × (number of
-// workers) entries. Smaller values tighten the bound on retired-but-
-// unreclaimed memory at the cost of more frequent scans; 0 keeps the
-// default (8). Only meaningful in the default hazard reclamation mode.
-func WithReclamationBatch(n int) Option {
-	return func(c *core.Config) { c.ReclamationBatch = n }
-}
-
-// WithStallRecovery enables stall-resilient epoch reclamation: a worker
-// observed pinned in an old epoch for longer than age stops blocking
-// reclamation (it is declared stalled-by-policy, counted in
-// Metrics.EpochStalls, and reported as an epoch-stall event). While any
-// worker is stalled, reclaimed rings go to the garbage collector instead of
-// the recycler, since the stalled worker may still hold them — reclamation
-// stays live, recycling resumes when the stall clears. age 0 selects the
-// default (10 ms). Only meaningful with WithEpochReclamation; bounded
-// epoch-mode queues enable it automatically, because a queue that cannot
-// reclaim rings cannot accept items.
-func WithStallRecovery(age time.Duration) Option {
-	return func(c *core.Config) {
-		if age <= 0 {
-			age = core.DefaultStallAge
-		}
-		c.StallAge = age
-	}
-}
-
 // WithWatchdog starts a background health checker that inspects the
 // queue's telemetry every interval (0 selects 100 ms) and maintains a
 // verdict readable via Queue.Health and Metrics.Health: tantrum storms
-// (rings closing faster than items flow), capacity stalls (a bounded queue
-// full with no consumer progress), and epoch reclamation stalls. Each
-// ok→problem transition is reported as a watchdog-alert event, and in epoch
-// mode every check also kicks reclamation forward so a traffic lull cannot
-// freeze ring recycling. Implies WithTelemetry (the checks read the
+// (rings closing faster than items flow), append livelocks (rings appended
+// with no consumer progress), and capacity stalls (a bounded queue full
+// with no consumer progress). Each ok→problem transition is reported as a
+// watchdog-alert event. Implies WithTelemetry (the checks read the
 // telemetry aggregates). The watchdog goroutine stops at Close.
 func WithWatchdog(interval time.Duration) Option {
 	return func(c *core.Config) {

@@ -16,8 +16,7 @@ type Health struct {
 	OK bool
 
 	// Verdict names the state: "disabled", "ok", or one of the problem
-	// verdicts "tantrum-storm", "append-livelock", "capacity-stall",
-	// "epoch-stall".
+	// verdicts "tantrum-storm", "append-livelock", "capacity-stall".
 	Verdict string
 
 	// Detail elaborates the problem verdict with the numbers that triggered
@@ -58,9 +57,8 @@ const (
 )
 
 // watchdog is the background health checker started by WithWatchdog. Each
-// tick it diffs the queue's telemetry aggregates against the previous tick,
-// applies the detection rules above, and in epoch mode kicks reclamation
-// forward so a traffic lull cannot strand retired rings.
+// tick it diffs the queue's telemetry aggregates against the previous tick
+// and applies the detection rules above.
 type watchdog struct {
 	q        *Queue
 	interval time.Duration
@@ -77,7 +75,6 @@ type watchdog struct {
 	prevDequeues uint64
 	prevEmpty    uint64
 	prevRejects  uint64
-	prevStalls   uint64
 	fullTicks    int
 	okStreak     int // consecutive clean ticks while a problem verdict holds
 }
@@ -101,9 +98,6 @@ func (w *watchdog) stop() {
 
 func (w *watchdog) run() {
 	defer close(w.done)
-	// The watchdog borrows a pooled handle per tick rather than owning one:
-	// owning one would pin a hazard/epoch record for a goroutine that is
-	// idle 99.9% of the time, and the pool path is already leak-safe.
 	ticker := time.NewTicker(w.interval)
 	defer ticker.Stop()
 	for {
@@ -125,7 +119,6 @@ func (w *watchdog) check() {
 	dequeues := snap.Counters.Dequeues
 	empty := snap.Counters.Empty
 	rejects := q.q.CapacityRejects()
-	stalls := q.q.EpochStalls()
 
 	dTantrums := tantrums - w.prevTantrums
 	dAppends := appends - w.prevAppends
@@ -133,16 +126,9 @@ func (w *watchdog) check() {
 	// of consumer progress the capacity rules need.
 	dTaken := (dequeues - w.prevDequeues) - (empty - w.prevEmpty)
 	dRejects := rejects - w.prevRejects
-	dStalls := stalls - w.prevStalls
 	w.prevTantrums, w.prevAppends = tantrums, appends
 	w.prevDequeues, w.prevEmpty = dequeues, empty
-	w.prevRejects, w.prevStalls = rejects, stalls
-
-	// Keep reclamation moving even when operation traffic (whose amortized
-	// schedule normally drives it) has stopped. Harmless outside epoch mode.
-	h := q.pool.Get().(*Handle)
-	q.q.KickReclaim(h.h)
-	q.pool.Put(h)
+	w.prevRejects = rejects
 
 	// A bounded queue spending consecutive ticks full with no consumer
 	// progress is stalled; a single full tick is just backpressure working.
@@ -163,9 +149,6 @@ func (w *watchdog) check() {
 	case w.fullTicks >= wdCapacityTicks:
 		verdict = "capacity-stall"
 		detail = fmt.Sprintf("queue full for %d consecutive intervals (%d rejects, 0 dequeues in the last)", w.fullTicks, dRejects)
-	case dStalls > 0:
-		verdict = "epoch-stall"
-		detail = fmt.Sprintf("%d reclamation participants declared stalled in one %v interval", dStalls, w.interval)
 	}
 
 	// Remediation: on an adaptive queue the verdict acts, not just reports.
