@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race purego chaos soak fuzz bench batchbench oversubbench ringbench examples reproduce check clean lint crossarch e2e e2e-baseline
+.PHONY: all build vet test race purego chaos soak fuzz bench batchbench ringbench examples reproduce check clean lint crossarch e2e e2e-baseline
 
 all: check
 
@@ -66,12 +66,6 @@ bench:
 # EnqueueBatch/DequeueBatch block sizes 1..64, with a JSON sidecar.
 batchbench:
 	$(GO) run ./cmd/qbench -batch 64 -metrics BENCH_batch.json
-
-# Oversubscription study: fixed spin constants vs the adaptive contention
-# controller at 1x/2x/4x/8x GOMAXPROCS, interleaved paired runs, with a
-# JSON sidecar (the committed baseline is BENCH_contention.json).
-oversubbench:
-	$(GO) run ./cmd/qbench -oversub 8 -pairs 50000 -runs 24 -metrics BENCH_contention.json
 
 # Ring-engine study: the portable SCQ ring vs the CAS2 ring under the
 # paper's pairwise workload, with the SCQ/LCRQ throughput ratio printed and

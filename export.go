@@ -68,14 +68,6 @@ func writeProm(b io.Writer, m Metrics) {
 	}
 	fmt.Fprintf(b, "# HELP lcrq_watchdog_ok 1 while the watchdog's latest verdict is healthy (also 1 when disabled).\n# TYPE lcrq_watchdog_ok gauge\nlcrq_watchdog_ok{verdict=%q} %d\n", m.Health.Verdict, wdOK)
 	counter("lcrq_watchdog_checks_total", "Watchdog inspection ticks completed.", m.Health.Checks)
-	adaptive := int64(0)
-	if m.Contention.Enabled {
-		adaptive = 1
-	}
-	gauge("lcrq_adaptive", "1 when the adaptive contention controller is armed.", adaptive)
-	gauge("lcrq_contention_boost", "Current watchdog remediation boost (each step doubles the starvation threshold).", int64(m.Contention.Boost))
-	counter("lcrq_contention_raises_total", "Remediation boost raises (tantrum-storm verdicts that widened thresholds).", m.Contention.Raises)
-	counter("lcrq_contention_decays_total", "Remediation boost decays (healthy ticks that narrowed thresholds).", m.Contention.Decays)
 
 	s := m.Stats
 	counter("lcrq_enqueues_total", "Completed enqueue operations.", s.Enqueues)
@@ -101,9 +93,6 @@ func writeProm(b io.Writer, m Metrics) {
 	counter("lcrq_batch_dequeues_total", "DequeueBatch calls (items count in lcrq_dequeues_total).", s.BatchDequeues)
 	counter("lcrq_batch_spills_total", "Batches that spilled into a freshly appended ring.", s.BatchSpills)
 	counter("lcrq_gate_spins_total", "Hierarchical cluster-gate spin iterations.", s.GateSpins)
-	counter("lcrq_adapt_raises_total", "Per-handle MIAD backoff raises (failed cell attempts).", s.AdaptiveRaises)
-	counter("lcrq_adapt_decays_total", "Per-handle MIAD backoff decays (completed operations).", s.AdaptiveDecays)
-	counter("lcrq_adapt_spins_total", "Adaptive backoff pause iterations burned.", s.AdaptiveSpins)
 	gauge("lcrq_trace_sample_stride", "Item-trace sampling stride N (0 = tracing off, -1 = forced-only).", int64(m.TraceSampleN))
 	counter("lcrq_trace_arms_total", "Item traces armed on the enqueue side (sampled + forced).", s.TraceArms)
 	counter("lcrq_trace_hits_total", "Stamped items claimed and measured by dequeues.", s.TraceHits)

@@ -130,9 +130,9 @@ func (q *traced) recordHitLit(id uint64, ns int64, pos int) {
 	q.hits = [8]hit{}                         // want `composite literal \(allocation\)`
 }
 
-// Adaptive contention controller: the MIAD fail/success steps run inside
-// the cell-retry loops, so they must stay pure arithmetic on handle-local
-// fields — no allocation, no bookkeeping containers.
+// A retry backoff: multiplicative-increase/additive-decrease steps that run
+// inside cell-retry loops must stay pure arithmetic on handle-local fields —
+// no allocation, no bookkeeping containers.
 
 type ctl struct {
 	spins, min, max, decay uint64
@@ -166,8 +166,8 @@ func (c *ctl) success() {
 }
 
 // pause is deliberately NOT annotated: chunked backoff yields the
-// processor, which is why the real contention.Pause carries no hotpath
-// annotation and hot callers reach it through a plain call.
+// processor, so a helper like this carries no hotpath annotation and hot
+// callers reach it through a plain call.
 func (c *ctl) pause() {
 	runtime.Gosched()
 }

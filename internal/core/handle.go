@@ -2,10 +2,12 @@ package core
 
 import (
 	"runtime"
+	"sync/atomic"
+	"time"
 
-	"lcrq/internal/contention"
 	"lcrq/internal/hazard"
 	"lcrq/internal/instrument"
+	"lcrq/internal/xrand"
 )
 
 // Hazard-pointer slot assignments within a handle.
@@ -30,13 +32,9 @@ type Handle struct {
 	// standalone users can leave it 0.
 	Cluster int64
 
-	// Ctl is the adaptive contention controller (Config.AdaptiveContention):
-	// single-writer state owned by the handle's goroutine exactly like C, so
-	// it lives on the handle's private memory and its fast-path methods use
-	// no atomics. Initialized by the queue even on fixed-constant queues —
-	// its jitter source serves the wait-backoff herd dispersion regardless
-	// of whether adaptation is armed.
-	Ctl contention.Controller
+	// rng drives Jitter. Single-writer like C; every handle is seeded with
+	// its own stream so waiter herds do not wake in lockstep.
+	rng xrand.State
 
 	hp       *hazard.Record[CRQ] // nil in GC mode (Config.NoHazard)
 	owner    *LCRQ
@@ -115,41 +113,25 @@ func (h *Handle) Release() {
 // for tests. Handles used with an LCRQ must come from (*LCRQ).NewHandle.
 func NewHandle() *Handle {
 	h := &Handle{}
-	h.Ctl.Init(false, 0, 0, 0, nil)
+	h.seedJitter()
 	return h
 }
 
-// initContention seeds the handle's contention controller from the queue's
-// configuration. Called for every handle the queue issues, enabled or not:
-// the controller's RNG also drives the wait-backoff jitter, which fixed-
-// constant queues want too.
-func (h *Handle) initContention(q *LCRQ) {
-	h.Ctl.Init(q.cfg.AdaptiveContention, q.cfg.AdaptSpinMin, q.cfg.AdaptSpinMax,
-		q.cfg.AdaptDecay, q.shared)
-}
+// jitterSeed derives a distinct RNG seed per handle without consulting the
+// clock; Seed's SplitMix64 diffusion turns the consecutive values into
+// uncorrelated streams.
+var jitterSeed atomic.Uint64
 
-// adaptFail is the cell-retry hook of the adaptive controller: raise the
-// MIAD backoff level and burn the returned jittered pause before the next
-// attempt. Callers gate on Config.AdaptiveContention so the disabled path
-// stays branch-identical to the pre-adaptive code.
+func (h *Handle) seedJitter() { h.rng.Seed(jitterSeed.Add(1)) }
+
+// Jitter spreads d uniformly over [d/2, 3d/2], preserving the mean, so
+// threads that park on the same condition (clusterGate, the public wait
+// loops) do not all wake together. Non-positive d passes through.
 //
 //lcrq:hotpath
-func (h *Handle) adaptFail() {
-	n, raised := h.Ctl.Fail()
-	if raised {
-		h.C.AdaptRaises++
+func (h *Handle) Jitter(d time.Duration) time.Duration {
+	if d <= 0 {
+		return d
 	}
-	if n > 0 {
-		h.C.AdaptSpins += uint64(n)
-		contention.Pause(n)
-	}
-}
-
-// adaptOK is the success hook: additively decay the backoff level.
-//
-//lcrq:hotpath
-func (h *Handle) adaptOK() {
-	if h.Ctl.Success() {
-		h.C.AdaptDecays++
-	}
+	return d/2 + time.Duration(h.rng.Uintn(uint64(d)+1))
 }

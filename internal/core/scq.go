@@ -297,9 +297,6 @@ func (q *CRQ) iqDeq(h *Handle, aq bool) (idx, at uint64, ok bool) {
 			break
 		}
 		h.C.CellRetries++
-		if q.cfg.AdaptiveContention {
-			h.adaptFail()
-		}
 	}
 }
 
@@ -384,18 +381,11 @@ func (q *CRQ) aqEnqueue(h *Handle, idx uint64) bool {
 			break
 		}
 		tries++
-		limit := q.cfg.StarvationLimit
-		if q.cfg.AdaptiveContention {
-			limit = h.Ctl.StarveLimit(limit)
-		}
-		if tries >= limit {
+		if tries >= q.cfg.StarvationLimit {
 			q.closeRing(h, EvRingTantrum)
 			return false
 		}
 		h.C.CellRetries++
-		if q.cfg.AdaptiveContention {
-			h.adaptFail()
-		}
 	}
 }
 
@@ -429,9 +419,6 @@ func (q *CRQ) scqEnqueue(h *Handle, v uint64) bool {
 		s.fqEnqueue(h, idx)
 		return false
 	}
-	if q.cfg.AdaptiveContention {
-		h.adaptOK()
-	}
 	return true
 }
 
@@ -449,9 +436,6 @@ func (q *CRQ) scqDequeue(h *Handle) (uint64, bool) {
 		q.checkStamp(h, at, 0)
 	}
 	s.fqEnqueue(h, idx)
-	if q.cfg.AdaptiveContention {
-		h.adaptOK()
-	}
 	return v, true
 }
 
@@ -488,9 +472,6 @@ func (q *CRQ) scqDequeueBatch(h *Handle, out []uint64) int {
 			q.checkStamp(h, at, n)
 		}
 		s.fqEnqueue(h, idx)
-		if q.cfg.AdaptiveContention {
-			h.adaptOK()
-		}
 		n++
 	}
 	return n

@@ -43,12 +43,6 @@ const (
 	// consumer of the event trace (e.g. a load shedder) can follow the
 	// health state machine without polling.
 	EvWatchdogRecover
-	// EvContentionAdapt: the watchdog's remediation moved the shared
-	// starvation boost of the adaptive contention controller — raised on a
-	// tantrum-storm verdict, decayed on a return to health. Emitted only
-	// when the boost actually changed (saturated raises and floored decays
-	// are silent), so the event trace records the controller's trajectory.
-	EvContentionAdapt
 
 	// NumRingEvents is the number of event kinds; it is not itself an event.
 	NumRingEvents
@@ -65,7 +59,6 @@ var ringEventNames = [NumRingEvents]string{
 	EvOrphanRecover:   "orphan-recover",
 	EvWatchdogAlert:   "watchdog-alert",
 	EvWatchdogRecover: "watchdog-recover",
-	EvContentionAdapt: "contention-adapt",
 }
 
 // String returns the event's stable name, as used in traces and exporters.

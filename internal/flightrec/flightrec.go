@@ -88,12 +88,6 @@ type Frame struct {
 	RingAppends     uint64 `json:"ring_appends,omitempty"`
 	CapacityRejects uint64 `json:"capacity_rejects,omitempty"`
 	TraceHits       uint64 `json:"trace_hits,omitempty"`
-	AdaptRaises     uint64 `json:"adapt_raises,omitempty"`
-	AdaptDecays     uint64 `json:"adapt_decays,omitempty"`
-
-	// ContentionBoost is the adaptive controller's remediation boost at
-	// capture time (a gauge; 0 when the controller is off or unboosted).
-	ContentionBoost uint64 `json:"contention_boost,omitempty"`
 
 	// Latency and sojourn quantiles (cumulative distributions, read at
 	// capture time).
@@ -215,8 +209,6 @@ func (r *Recorder) capture() (alertEdge bool) {
 		HealthOK: m.Health.OK,
 		Verdict:  m.Health.Verdict,
 
-		ContentionBoost: m.Contention.Boost,
-
 		EnqueueP99Ns: m.Enqueue.P99.Nanoseconds(),
 		DequeueP99Ns: m.Dequeue.P99.Nanoseconds(),
 		SojournP50Ns: m.Sojourn.P50.Nanoseconds(),
@@ -232,8 +224,6 @@ func (r *Recorder) capture() (alertEdge bool) {
 		f.RingCloses = m.Stats.RingCloses - r.prev.RingCloses
 		f.RingAppends = m.Stats.RingAppends - r.prev.RingAppends
 		f.TraceHits = m.Stats.TraceHits - r.prev.TraceHits
-		f.AdaptRaises = m.Stats.AdaptiveRaises - r.prev.AdaptiveRaises
-		f.AdaptDecays = m.Stats.AdaptiveDecays - r.prev.AdaptiveDecays
 	}
 	f.CapacityRejects = m.CapacityRejects // cumulative gauge-like; cheap to diff offline
 	r.prev = m.Stats

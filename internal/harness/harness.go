@@ -92,10 +92,6 @@ type Workload struct {
 	// queue whose handles implement queues.BatchHandle; latency sampling is
 	// not applied to batch operations.
 	Batch int
-	// Adaptive arms the LCRQ family's adaptive contention controller for
-	// the run (qbench -oversub sweeps it against the fixed-constant
-	// default). Other queues ignore it.
-	Adaptive bool
 }
 
 // Result aggregates the runs of one workload.
@@ -198,7 +194,6 @@ func runOnce(w Workload, place *affinity.Placement, run int) (time.Duration, *in
 		Prefill:   w.Prefill,
 		Capacity:  w.Capacity,
 		Watchdog:  w.Watchdog,
-		Adaptive:  w.Adaptive,
 	})
 	if err != nil {
 		return 0, nil, nil, nil, err

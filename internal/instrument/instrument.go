@@ -44,17 +44,13 @@ type Counters struct {
 
 	ThresholdEmpty uint64 // SCQ: emptiness verdicts reached via the threshold trick
 	FreeEmpty      uint64 // SCQ: enqueues that found the free-index queue empty (ring full)
-	Appends     uint64 // LCRQ: new CRQs appended to the list
-	Recycled    uint64 // LCRQ: rings obtained from the recycler
+	Appends        uint64 // LCRQ: new CRQs appended to the list
+	Recycled       uint64 // LCRQ: rings obtained from the recycler
 
 	BatchEnqueues uint64 // LCRQ: EnqueueBatch calls (constituent items count in Enqueues)
 	BatchDequeues uint64 // LCRQ: DequeueBatch calls (constituent items count in Dequeues)
 	BatchSpill    uint64 // LCRQ: batches that spilled into a freshly appended ring
 	GateSpins     uint64 // LCRQ+H: cluster admission gate spin iterations
-
-	AdaptRaises uint64 // adaptive contention: MIAD backoff raises (failed cell attempts)
-	AdaptDecays uint64 // adaptive contention: backoff decays (completed operations)
-	AdaptSpins  uint64 // adaptive contention: total pause iterations burned
 
 	TraceArms uint64 // tracing: enqueue-side stamps armed (sampled + forced)
 	TraceHits uint64 // tracing: stamped items claimed by this thread's dequeues
@@ -93,9 +89,6 @@ func (c *Counters) Add(o *Counters) {
 	c.BatchDequeues += o.BatchDequeues
 	c.BatchSpill += o.BatchSpill
 	c.GateSpins += o.GateSpins
-	c.AdaptRaises += o.AdaptRaises
-	c.AdaptDecays += o.AdaptDecays
-	c.AdaptSpins += o.AdaptSpins
 	c.TraceArms += o.TraceArms
 	c.TraceHits += o.TraceHits
 	c.CombinerRuns += o.CombinerRuns

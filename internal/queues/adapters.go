@@ -79,7 +79,6 @@ func newLCRQAdapter(name string, cfg Config, cc core.Config) Queue {
 	// derives the ring budget from the capacity.
 	cc.Capacity = cfg.Capacity
 	cc.Watchdog = cfg.Watchdog
-	cc.AdaptiveContention = cfg.Adaptive
 	return &lcrqAdapter{name: name, q: core.NewLCRQ(cc)}
 }
 

@@ -36,11 +36,6 @@ type Config struct {
 	// runs (qbench -watchdog); the harness samples GovernanceStats at this
 	// cadence and derives verdicts.
 	Watchdog time.Duration
-	// Adaptive arms the LCRQ family's adaptive contention controller
-	// (MIAD backoff plus starvation-threshold widening) in place of the
-	// fixed spin constants — the qbench -oversub comparison axis. Other
-	// queues ignore it.
-	Adaptive bool
 }
 
 // GovernanceStats reports the resource-governance outcome of a bounded run.

@@ -590,15 +590,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 		},
 		"sojourn":        lat(m.Sojourn),
 		"trace_sample_n": m.TraceSampleN,
-		"contention": map[string]any{
-			"enabled":      m.Contention.Enabled,
-			"boost":        m.Contention.Boost,
-			"raises":       m.Contention.Raises,
-			"decays":       m.Contention.Decays,
-			"adapt_raises": m.Stats.AdaptiveRaises,
-			"adapt_decays": m.Stats.AdaptiveDecays,
-			"adapt_spins":  m.Stats.AdaptiveSpins,
-		},
 	})
 }
 

@@ -234,51 +234,67 @@ func (h *Handle) EnqueueWait(ctx context.Context, v uint64) error {
 }
 
 func (h *Handle) enqueueWait(ctx context.Context, v uint64) error {
-	cfg := h.q.q.Config()
-	// WaitStart resumes the remembered backoff level on an adaptive queue
-	// (a producer parked moments ago starts near where it left off instead
-	// of re-climbing from the floor); on a fixed queue it is just the floor.
-	backoff := h.h.Ctl.WaitStart(cfg.WaitBackoffMin, cfg.WaitBackoffMax)
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	for spin := 0; ; spin++ {
+	w := h.newWaiter(ctx)
+	for {
 		switch h.enqueueStatus(v) {
 		case core.EnqOK:
-			h.h.Ctl.WaitDone(cfg.WaitBackoffMin)
 			return nil
 		case core.EnqClosed:
 			return ErrClosed
 		}
 		chaos.Delay(chaos.EnqWait)
-		if done != nil {
-			select {
-			case <-done:
-				return &WaitError{State: ErrFull, Cause: ctx.Err()}
-			default:
-			}
+		if !w.pause() {
+			return &WaitError{State: ErrFull, Cause: ctx.Err()}
 		}
-		if spin < 8 {
-			runtime.Gosched()
-			continue
-		}
-		// Jittered sleep: waiters parked by the same full episode wake
-		// dispersed over [backoff/2, 3·backoff/2] instead of stampeding the
-		// capacity gate together.
-		timer := time.NewTimer(h.h.Ctl.Jitter(backoff))
-		if done != nil {
-			select {
-			case <-done:
-				timer.Stop()
-				return &WaitError{State: ErrFull, Cause: ctx.Err()}
-			case <-timer.C:
-			}
-		} else {
-			<-timer.C
-		}
-		backoff = h.h.Ctl.WaitGrow(backoff, cfg.WaitBackoffMax)
 	}
+}
+
+// waiter paces the polls of EnqueueWait and DequeueWait: a few scheduler
+// yields, then sleeps that start at WaitBackoffMin and double up to
+// WaitBackoffMax.
+type waiter struct {
+	h       *core.Handle
+	done    <-chan struct{} // nil: wait without cancellation
+	spin    int
+	backoff time.Duration
+	ceil    time.Duration
+}
+
+func (h *Handle) newWaiter(ctx context.Context) waiter {
+	cfg := h.q.q.Config()
+	w := waiter{h: h.h, backoff: cfg.WaitBackoffMin, ceil: cfg.WaitBackoffMax}
+	if ctx != nil {
+		w.done = ctx.Done()
+	}
+	return w
+}
+
+// pause waits out one round between polls. It reports false, without
+// waiting, if the context is already done, and false if it finishes while
+// the caller sleeps.
+func (w *waiter) pause() bool {
+	select {
+	case <-w.done:
+		return false
+	default:
+	}
+	if w.spin < 8 {
+		w.spin++
+		runtime.Gosched()
+		return true
+	}
+	// Jittered sleep: waiters parked by the same full or empty episode
+	// wake dispersed over [backoff/2, 3·backoff/2] instead of stampeding
+	// the queue together.
+	timer := time.NewTimer(w.h.Jitter(w.backoff))
+	select {
+	case <-w.done:
+		timer.Stop()
+		return false
+	case <-timer.C:
+	}
+	w.backoff = min(2*w.backoff, w.ceil)
+	return true
 }
 
 // enqueueTel is the telemetry-enabled enqueue: it times the operation when
@@ -388,50 +404,21 @@ func (h *Handle) DequeueWait(ctx context.Context) (uint64, error) {
 }
 
 func (h *Handle) dequeueWait(ctx context.Context) (uint64, error) {
-	cfg := h.q.q.Config()
-	// See enqueueWait: remembered level on adaptive queues, floor otherwise.
-	backoff := h.h.Ctl.WaitStart(cfg.WaitBackoffMin, cfg.WaitBackoffMax)
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	for spin := 0; ; spin++ {
+	w := h.newWaiter(ctx)
+	for {
 		// Read the closed flag before polling: observing (closed, then
 		// empty) in that order proves the queue was drained, because no
 		// enqueue that starts after Close can succeed.
 		closed := h.q.q.Closed()
 		if v, ok := h.Dequeue(); ok {
-			h.h.Ctl.WaitDone(cfg.WaitBackoffMin)
 			return v, nil
 		}
 		if closed {
 			return 0, ErrClosed
 		}
-		if done != nil {
-			select {
-			case <-done:
-				return 0, &WaitError{State: ErrEmpty, Cause: ctx.Err()}
-			default:
-			}
+		if !w.pause() {
+			return 0, &WaitError{State: ErrEmpty, Cause: ctx.Err()}
 		}
-		if spin < 8 {
-			runtime.Gosched()
-			continue
-		}
-		// Jittered sleep, as in enqueueWait: consumers parked on the same
-		// empty queue wake dispersed instead of racing the first deposit.
-		timer := time.NewTimer(h.h.Ctl.Jitter(backoff))
-		if done != nil {
-			select {
-			case <-done:
-				timer.Stop()
-				return 0, &WaitError{State: ErrEmpty, Cause: ctx.Err()}
-			case <-timer.C:
-			}
-		} else {
-			<-timer.C
-		}
-		backoff = h.h.Ctl.WaitGrow(backoff, cfg.WaitBackoffMax)
 	}
 }
 

@@ -213,64 +213,14 @@ func WithWatchdog(interval time.Duration) Option {
 	}
 }
 
-// WithAdaptiveContention arms the per-handle adaptive contention controller,
-// replacing the fixed spin constants with measured backpressure:
-//
-//   - Cell-retry backoff follows an MIAD rule (multiplicative increase on a
-//     failed cell attempt, additive decrease on success), so a handle that
-//     keeps losing CAS2 races backs off exponentially instead of hammering
-//     the contended line, and drains its backoff as soon as it wins again.
-//   - The starvation threshold widens with the handle's current backoff
-//     level and with the watchdog's shared remediation boost, so a tantrum
-//     storm damps (operations wait longer before closing rings) instead of
-//     cascading into ring-allocation churn.
-//   - EnqueueWait/DequeueWait remember their backoff level across calls and
-//     jitter every sleep, dispersing thundering herds of parked waiters.
-//
-// When a watchdog is running (WithWatchdog), its tantrum-storm verdict raises
-// the shared boost and healthy ticks decay it, reported as contention-adapt
-// events and in Metrics.Contention. Off by default: the fixed constants of
-// WithSpinWait/WithStarvationLimit match the paper's evaluation and cost
-// nothing to keep; the controller is for workloads whose contention varies
-// too much for one constant (see DESIGN.md §14). Tune with
-// WithAdaptiveSpinBounds and WithAdaptiveBoostMax.
-func WithAdaptiveContention() Option {
-	return func(c *core.Config) { c.AdaptiveContention = true }
-}
-
-// WithAdaptiveSpinBounds sets the MIAD backoff range of the adaptive
-// contention controller: a failed cell attempt doubles the handle's spin
-// level within [min, max], and each success subtracts the decay step. Zero
-// or negative values select the defaults (32, 4096, decay 8); max is raised
-// to min if smaller. Implies WithAdaptiveContention.
-func WithAdaptiveSpinBounds(min, max, decay int) Option {
-	return func(c *core.Config) {
-		c.AdaptiveContention = true
-		c.AdaptSpinMin = min
-		c.AdaptSpinMax = max
-		c.AdaptDecay = decay
-	}
-}
-
-// WithAdaptiveBoostMax caps the watchdog remediation boost: each boost step
-// doubles every handle's effective starvation threshold, so the cap bounds
-// the widening at base × 2^n. 0 selects the default (3); values above the
-// hard ceiling (16) are clamped; negative disables remediation entirely
-// (the controller still adapts per handle, but the watchdog cannot widen
-// thresholds queue-wide). Implies WithAdaptiveContention.
-func WithAdaptiveBoostMax(n int) Option {
-	return func(c *core.Config) {
-		c.AdaptiveContention = true
-		c.AdaptBoostMax = n
-	}
-}
-
 // WithWaitBackoff bounds the exponential backoff DequeueWait uses while the
 // queue is empty: after a brief spin the waiter sleeps min, doubling up to
 // max. Zero values select the defaults (4 µs and 1 ms); max is raised to
 // min if it is smaller. Lower bounds poll more aggressively (lower latency,
 // more CPU while idle); higher bounds do the opposite. EnqueueWait shares
-// the bounds for its full-queue backoff.
+// the bounds for its full-queue backoff. Each sleep of nominal length d is
+// jittered uniformly over [d/2, 3d/2], so waiters parked by the same
+// episode do not wake in lockstep.
 func WithWaitBackoff(min, max time.Duration) Option {
 	return func(c *core.Config) {
 		c.WaitBackoffMin = min
