@@ -14,10 +14,11 @@ vet:
 	$(GO) vet ./...
 
 # lcrqlint: the repo's own go/analysis suite — nine analyzers: the v1
-# per-word checks (align128, atomiconly, padcheck, hotpath, statsmirror;
-# DESIGN.md §10) and the v2 protocol checks (seqlockcheck, singlewriter,
-# publication, chaosreg; DESIGN.md §15). Runs standalone over the non-test
-# tree, then again as a go vet -vettool so test files are covered too.
+# per-word checks (align128, atomiconly, padcheck, hotpath, and statsmirror,
+# which checks name registries only; DESIGN.md §10) and the v2 protocol
+# checks (seqlockcheck, singlewriter, publication, chaosreg; DESIGN.md §15).
+# Runs standalone over the non-test tree, then again as a go vet -vettool
+# so test files are covered too.
 lint:
 	$(GO) run ./cmd/lcrqlint ./...
 	$(GO) build -o $(CURDIR)/bin/lcrqlint ./cmd/lcrqlint

@@ -36,7 +36,7 @@ func TestEnqueueWaitLinearizableUnderChaos(t *testing.T) {
 		opsEach = 6
 	)
 	for round := 0; round < rounds; round++ {
-		q := New(WithRingOrder(1), WithCapacity(2), WithWaitBackoff(time.Microsecond, 10*time.Microsecond))
+		q := New(WithRingSize(2), WithCapacity(2), WithWaitBackoff(time.Microsecond, 10*time.Microsecond))
 		rec := linearize.NewRecorder(threads)
 		var wg sync.WaitGroup
 		start := make(chan struct{})
@@ -117,7 +117,7 @@ func TestSoak(t *testing.T) {
 		capacity  = 128
 	)
 	q := New(
-		WithRingOrder(3), // R=8: constant segment churn
+		WithRingSize(8), // constant segment churn
 		WithCapacity(capacity),
 		WithWatchdog(5*time.Millisecond),
 		WithWaitBackoff(time.Microsecond, 100*time.Microsecond),

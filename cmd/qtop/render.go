@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"lcrq/internal/instrument"
 )
 
 // statsz mirrors the slice of qserve's GET /statsz document qtop renders.
@@ -28,18 +30,12 @@ type statsz struct {
 		Verdict string `json:"Verdict"`
 		Detail  string `json:"Detail"`
 	} `json:"health"`
-	Counters  map[string]uint64 `json:"counters"`
-	Depth     int64             `json:"depth"`
-	Items     int64             `json:"items"`
-	Capacity  int64             `json:"capacity"`
-	DrainRate float64           `json:"drain_rate"`
-	Stats     struct {
-		Enqueues  uint64 `json:"enqueues"`
-		Dequeues  uint64 `json:"dequeues"`
-		Empty     uint64 `json:"empty"`
-		TraceArms uint64 `json:"trace_arms"`
-		TraceHits uint64 `json:"trace_hits"`
-	} `json:"stats"`
+	Counters     map[string]uint64   `json:"counters"`
+	Depth        int64               `json:"depth"`
+	Items        int64               `json:"items"`
+	Capacity     int64               `json:"capacity"`
+	DrainRate    float64             `json:"drain_rate"`
+	Stats        instrument.Counters `json:"stats"`
 	Latency      map[string]latencyz `json:"latency"`
 	Sojourn      latencyz            `json:"sojourn"`
 	TraceSampleN int                 `json:"trace_sample_n"`

@@ -86,7 +86,7 @@ func ExampleHandle_Stats() {
 	}
 	s := h.Stats()
 	fmt.Printf("enqueues=%d dequeues=%d atomics/op=%.0f\n",
-		s.Enqueues, s.Dequeues, s.AtomicsPerOp)
+		s.Enqueues, s.Dequeues, s.AtomicsPerOp())
 	// Output:
 	// enqueues=1000 dequeues=1000 atomics/op=2
 }

@@ -2,11 +2,15 @@
 //
 //	go run ./examples/instrumentation
 //
-// Runs the same contended workload against a normal LCRQ and the LCRQ-CAS
-// ablation (fetch-and-add emulated with a CAS loop) and prints the
-// per-operation instruction mix — a live miniature of the paper's Table 2,
-// showing where the CAS-retry waste the paper identifies comes from. Also
-// demonstrates ring churn accounting with a deliberately tiny ring.
+// Runs a contended workload against LCRQ and prints the per-operation
+// instruction mix — a live miniature of the paper's Table 2. The LCRQ-CAS
+// ablation (fetch-and-add emulated with a CAS loop), which shows where the
+// CAS-retry waste the paper identifies comes from, is the harness's
+// lcrq-cas queue:
+//
+//	go run ./cmd/qbench -queues lcrq,lcrq-cas -threads 1,2,4,8
+//
+// Also demonstrates ring churn accounting with a deliberately tiny ring.
 package main
 
 import (
@@ -44,13 +48,13 @@ func run(name string, q *lcrq.Queue, workers, pairs int) lcrq.Stats {
 	close(statsCh)
 	var total lcrq.Stats
 	for s := range statsCh {
-		total = total.Add(s)
+		total.Add(&s)
 	}
 	fmt.Printf("%-12s  %8d ops  %.2f atomics/op  F&A=%d  CAS=%d (%.1f%% failed)  CAS2=%d (%.1f%% failed)\n",
-		name, total.Enqueues+total.Dequeues, total.AtomicsPerOp,
-		total.FetchAdds,
-		total.CASAttempts, pct(total.CASFailures, total.CASAttempts),
-		total.CAS2Attempts, pct(total.CAS2Failures, total.CAS2Attempts))
+		name, total.Ops(), total.AtomicsPerOp(),
+		total.FAA,
+		total.CAS, pct(total.CASFail, total.CAS),
+		total.CAS2, pct(total.CAS2Fail, total.CAS2))
 	return total
 }
 
@@ -66,15 +70,14 @@ func main() {
 
 	fmt.Println("instruction mix under contention (compare with Table 2 of the paper):")
 	run("lcrq", lcrq.New(), workers, pairs)
-	run("lcrq-cas", lcrq.New(lcrq.WithCASLoopFAA()), workers, pairs)
 
 	fmt.Println("\nring churn with a deliberately tiny ring (R=4):")
 	tiny := lcrq.New(lcrq.WithRingSize(4))
 	s := run("lcrq R=4", tiny, workers, pairs)
 	fmt.Printf("  ring segments closed: %d, appended: %d, recycled: %d (%.1f%% reuse)\n",
-		s.RingCloses, s.RingAppends, s.RingRecycles,
-		pct(s.RingRecycles, s.RingAppends))
+		s.Closes, s.Appends, s.Recycled,
+		pct(s.Recycled, s.Appends))
 	fmt.Println("\nwith the default 4096-cell ring the same workload closes no rings:")
 	s = run("lcrq R=4096", lcrq.New(), workers, pairs)
-	fmt.Printf("  ring segments closed: %d, appended: %d\n", s.RingCloses, s.RingAppends)
+	fmt.Printf("  ring segments closed: %d, appended: %d\n", s.Closes, s.Appends)
 }

@@ -81,5 +81,5 @@ func main() {
 	st := sh.Stats()
 	sh.Release()
 	fmt.Printf("stats: %d enq, %d deq, %.2f atomic ops per operation\n",
-		st.Enqueues, st.Dequeues, st.AtomicsPerOp)
+		st.Enqueues, st.Dequeues, st.AtomicsPerOp())
 }

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"lcrq/internal/core"
 )
 
 // FuzzQueueModel interprets the fuzz input as an op tape — even bytes
@@ -24,13 +26,13 @@ func FuzzQueueModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte, geom uint8) {
 		opts := []Option{WithRingSize(2 << (geom % 4))}
 		if geom&4 != 0 {
-			opts = append(opts, WithCASLoopFAA())
+			opts = append(opts, func(c *core.Config) { c.CASLoopFAA = true })
 		}
 		if geom&8 != 0 {
-			opts = append(opts, WithSpinWait(-1))
+			opts = append(opts, func(c *core.Config) { c.SpinWait = -1 })
 		}
 		if geom&16 != 0 {
-			opts = append(opts, WithoutRecycling())
+			opts = append(opts, func(c *core.Config) { c.NoRecycle = true })
 		}
 		q := New(opts...)
 		h := q.NewHandle()
@@ -82,7 +84,7 @@ func FuzzCloseDrain(f *testing.F) {
 		target := uint64(closeAfter) % (uint64(nprod)*perProd + 1)
 		opts := []Option{WithRingSize(2 << (geom % 4))}
 		if geom&16 != 0 {
-			opts = append(opts, WithoutHazardPointers())
+			opts = append(opts, func(c *core.Config) { c.NoHazard = true })
 		}
 		if geom&32 != 0 {
 			opts = append(opts, WithStarvationLimit(2))
@@ -183,7 +185,7 @@ func FuzzBoundedCapacity(f *testing.F) {
 			WithCapacity(capacity),
 		}
 		if geom&16 != 0 {
-			opts = append(opts, WithoutHazardPointers())
+			opts = append(opts, func(c *core.Config) { c.NoHazard = true })
 		}
 		q := New(opts...)
 		h := q.NewHandle()

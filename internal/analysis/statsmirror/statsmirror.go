@@ -1,53 +1,34 @@
-// Package statsmirror turns the repo's "every counter is mirrored"
-// reflection tests into a compile-time-style check.
-//
-// Two registries must stay complete as the instrumentation grows:
-//
-//  1. Enum-indexed name tables. For any package-level
-//     `var names = [Sentinel]string{...}` whose length is a constant of a
-//     defined integer type (chaos.Point/NumPoints, telemetry.Kind/NumKinds),
-//     every constant of that type below the sentinel must appear as a key
-//     with a non-empty name. Adding a chaos injection point without naming
-//     it once broke only a runtime test; now it does not compile cleanly.
-//
-//  2. Struct mirrors. A function annotated `//lcrq:mirror pkgpath.Type`
-//     (or `//lcrq:mirror Type` for the current package) promises to
-//     transcribe every field of that struct; the analyzer reports any
-//     field the function body never references. stats.go's
-//     statsFromCounters carries the annotation for instrument.Counters,
-//     and Stats.Add for Stats itself, replacing the two reflection tests
-//     that previously guarded them.
+// Package statsmirror checks that enum-indexed name registries are
+// complete: for any package-level `var names = [Sentinel]string{...}` whose
+// length is a constant of a defined integer type (chaos.Point/NumPoints,
+// telemetry.Kind/NumKinds), every constant of that type below the sentinel
+// must appear as a key with a non-empty name. Adding a chaos injection
+// point without naming it once broke only a runtime test; now it does not
+// compile cleanly.
 package statsmirror
 
 import (
 	"go/ast"
 	"go/constant"
 	"go/types"
-	"strings"
 
-	"lcrq/internal/analysis/lintutil"
 	"lcrq/internal/lint/analysis"
 )
 
 var Analyzer = &analysis.Analyzer{
 	Name: "statsmirror",
-	Doc:  "check that counter/point registries and annotated struct mirrors are complete",
+	Doc:  "check that enum-indexed name registries are complete",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
-			switch decl := decl.(type) {
-			case *ast.GenDecl:
+			if decl, ok := decl.(*ast.GenDecl); ok {
 				for _, spec := range decl.Specs {
 					if vs, ok := spec.(*ast.ValueSpec); ok {
 						checkRegistry(pass, vs)
 					}
-				}
-			case *ast.FuncDecl:
-				if arg, ok := lintutil.FuncDirective(decl, "mirror"); ok {
-					checkMirror(pass, decl, arg)
 				}
 			}
 		}
@@ -55,7 +36,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// checkRegistry handles rule 1: enum-indexed name tables.
+// checkRegistry checks one enum-indexed name table.
 func checkRegistry(pass *analysis.Pass, vs *ast.ValueSpec) {
 	for i, name := range vs.Names {
 		if i >= len(vs.Values) {
@@ -133,72 +114,4 @@ func checkRegistry(pass *analysis.Pass, vs *ast.ValueSpec) {
 			}
 		}
 	}
-}
-
-// checkMirror handles rule 2: //lcrq:mirror pkgpath.Type functions.
-func checkMirror(pass *analysis.Pass, fn *ast.FuncDecl, arg string) {
-	st, typeName := resolveMirrorType(pass, arg)
-	if st == nil {
-		pass.Reportf(fn.Pos(), "//lcrq:mirror %s: cannot resolve a struct type (want \"pkgpath.Type\" or \"Type\")", arg)
-		return
-	}
-	if fn.Body == nil {
-		return
-	}
-	referenced := make(map[string]bool)
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			referenced[n.Sel.Name] = true
-		case *ast.KeyValueExpr:
-			if id, ok := n.Key.(*ast.Ident); ok {
-				referenced[id.Name] = true
-			}
-		}
-		return true
-	})
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if !referenced[f.Name()] {
-			pass.Reportf(fn.Pos(),
-				"%s does not reference %s.%s; every field of the mirrored struct must be transcribed (or the omission justified where the field is declared)",
-				fn.Name.Name, typeName, f.Name())
-		}
-	}
-}
-
-// resolveMirrorType resolves the directive argument to a struct type. The
-// argument is "path/to/pkg.Type" (the package must be imported by the
-// annotated function's package) or a bare "Type" in the current package.
-func resolveMirrorType(pass *analysis.Pass, arg string) (*types.Struct, string) {
-	var scope *types.Scope
-	typeName := arg
-	if i := strings.LastIndex(arg, "."); i >= 0 {
-		pkgPath, name := arg[:i], arg[i+1:]
-		typeName = name
-		if pkgPath == pass.Pkg.Path() {
-			scope = pass.Pkg.Scope()
-		} else {
-			for _, imp := range pass.Pkg.Imports() {
-				if imp.Path() == pkgPath {
-					scope = imp.Scope()
-					break
-				}
-			}
-		}
-	} else {
-		scope = pass.Pkg.Scope()
-	}
-	if scope == nil {
-		return nil, arg
-	}
-	obj, ok := scope.Lookup(typeName).(*types.TypeName)
-	if !ok {
-		return nil, arg
-	}
-	st, ok := obj.Type().Underlying().(*types.Struct)
-	if !ok {
-		return nil, arg
-	}
-	return st, typeName
 }

@@ -83,7 +83,7 @@ type Frame struct {
 	// Counter deltas over the interval.
 	Enqueues        uint64 `json:"enqueues"`
 	Dequeues        uint64 `json:"dequeues"`
-	Empty           uint64 `json:"empty"`
+	Empty           uint64 `json:"dequeue_empty"`
 	RingCloses      uint64 `json:"ring_closes,omitempty"`
 	RingAppends     uint64 `json:"ring_appends,omitempty"`
 	CapacityRejects uint64 `json:"capacity_rejects,omitempty"`
@@ -221,8 +221,8 @@ func (r *Recorder) capture() (alertEdge bool) {
 		f.Enqueues = m.Stats.Enqueues - r.prev.Enqueues
 		f.Dequeues = m.Stats.Dequeues - r.prev.Dequeues
 		f.Empty = m.Stats.Empty - r.prev.Empty
-		f.RingCloses = m.Stats.RingCloses - r.prev.RingCloses
-		f.RingAppends = m.Stats.RingAppends - r.prev.RingAppends
+		f.RingCloses = m.Stats.Closes - r.prev.Closes
+		f.RingAppends = m.Stats.Appends - r.prev.Appends
 		f.TraceHits = m.Stats.TraceHits - r.prev.TraceHits
 	}
 	f.CapacityRejects = m.CapacityRejects // cumulative gauge-like; cheap to diff offline

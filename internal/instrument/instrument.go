@@ -17,83 +17,115 @@ package instrument
 
 import (
 	"fmt"
+	"iter"
 	"reflect"
 	"strings"
 	"sync/atomic"
+	"unsafe"
 )
 
-// Counters accumulates per-thread operation statistics.
+// Counters accumulates per-thread operation statistics. It is the only
+// declaration of the counter set: each field's json tag is the counter's
+// export name (the Prometheus series lcrq_<name>_total, the /statsz and
+// expvar key) and its help tag the series' HELP text. Every field is a
+// uint64, so a Counters is laid out as a [numCounters]uint64; Add, the
+// AtomicCounters mirror and All loop over that view and the field table
+// built from the tags at init.
 type Counters struct {
-	Enqueues uint64 // completed enqueue operations
-	Dequeues uint64 // completed dequeue operations (including EMPTY)
-	Empty    uint64 // dequeues that returned EMPTY
+	Enqueues uint64 `json:"enqueues" help:"Completed enqueue operations."`
+	Dequeues uint64 `json:"dequeues" help:"Completed dequeue operations, empty results included."`
+	Empty    uint64 `json:"dequeue_empty" help:"Dequeues that found the queue empty."`
 
-	FAA      uint64 // fetch-and-add instructions issued
-	SWAP     uint64 // swap (XCHG) instructions issued
-	TAS      uint64 // test-and-set instructions issued
-	CAS      uint64 // single-width CAS attempts
-	CASFail  uint64 // single-width CAS attempts that failed
-	CAS2     uint64 // double-width CAS attempts
-	CAS2Fail uint64 // double-width CAS attempts that failed
+	// Atomic instructions issued, the "Atomic operations" rows of Tables 2–3.
+	FAA      uint64 `json:"faa" help:"Fetch-and-add instructions issued."`
+	SWAP     uint64 `json:"swap" help:"Swap (XCHG) instructions issued."`
+	TAS      uint64 `json:"tas" help:"Test-and-set instructions issued."`
+	CAS      uint64 `json:"cas" help:"Single-width CAS attempts."`
+	CASFail  uint64 `json:"cas_failures" help:"Single-width CAS attempts that failed."`
+	CAS2     uint64 `json:"cas2" help:"Double-width CAS attempts."`
+	CAS2Fail uint64 `json:"cas2_failures" help:"Double-width CAS attempts that failed."`
 
-	CellRetries uint64 // CRQ: extra head/tail F&As needed beyond the first
-	EmptyTrans  uint64 // CRQ: empty transitions performed
-	UnsafeTrans uint64 // CRQ: unsafe transitions performed
-	SpinWaits   uint64 // CRQ: bounded waits for a matching enqueuer
-	Closes      uint64 // CRQ: times this thread closed a ring
+	// CRQ ring protocol.
+	CellRetries uint64 `json:"cell_retries" help:"Extra head/tail fetch-and-adds beyond the first."`
+	EmptyTrans  uint64 `json:"empty_transitions" help:"Empty transitions performed by dequeuers."`
+	UnsafeTrans uint64 `json:"unsafe_transitions" help:"Unsafe transitions performed by dequeuers."`
+	SpinWaits   uint64 `json:"spin_waits" help:"Bounded dequeuer waits for a matching enqueuer."`
+	Closes      uint64 `json:"ring_closes" help:"Ring segments closed."`
 
-	ThresholdEmpty uint64 // SCQ: emptiness verdicts reached via the threshold trick
-	FreeEmpty      uint64 // SCQ: enqueues that found the free-index queue empty (ring full)
-	Appends        uint64 // LCRQ: new CRQs appended to the list
-	Recycled       uint64 // LCRQ: rings obtained from the recycler
+	// SCQ ring protocol and the LCRQ list layer.
+	ThresholdEmpty uint64 `json:"threshold_empties" help:"SCQ emptiness verdicts reached via the threshold trick."`
+	FreeEmpty      uint64 `json:"free_empties" help:"SCQ enqueues that found the free-index queue empty (ring full)."`
+	Appends        uint64 `json:"ring_appends" help:"Ring segments appended to the list."`
+	Recycled       uint64 `json:"ring_recycles" help:"Appended segments satisfied from the recycler."`
 
-	BatchEnqueues uint64 // LCRQ: EnqueueBatch calls (constituent items count in Enqueues)
-	BatchDequeues uint64 // LCRQ: DequeueBatch calls (constituent items count in Dequeues)
-	BatchSpill    uint64 // LCRQ: batches that spilled into a freshly appended ring
-	GateSpins     uint64 // LCRQ+H: cluster admission gate spin iterations
+	// Batch API (constituent items also count in Enqueues/Dequeues) and
+	// the LCRQ+H cluster gate.
+	BatchEnqueues uint64 `json:"batch_enqueues" help:"EnqueueBatch calls (items count in lcrq_enqueues_total)."`
+	BatchDequeues uint64 `json:"batch_dequeues" help:"DequeueBatch calls (items count in lcrq_dequeues_total)."`
+	BatchSpill    uint64 `json:"batch_spills" help:"Batches that spilled into a freshly appended ring."`
+	GateSpins     uint64 `json:"gate_spins" help:"Hierarchical cluster-gate spin iterations."`
 
-	TraceArms uint64 // tracing: enqueue-side stamps armed (sampled + forced)
-	TraceHits uint64 // tracing: stamped items claimed by this thread's dequeues
+	// Item tracing.
+	TraceArms uint64 `json:"trace_arms" help:"Item traces armed on the enqueue side (sampled + forced)."`
+	TraceHits uint64 `json:"trace_hits" help:"Stamped items claimed and measured by dequeues."`
 
-	CombinerRuns uint64 // combining queues: times this thread combined
-	Combined     uint64 // combining queues: operations applied while combining
-	LockAcq      uint64 // lock acquisitions (blocking queues)
+	// Baseline queues of the evaluation (always 0 on LCRQ).
+	CombinerRuns uint64 `json:"combiner_runs" help:"Combining queues: passes a thread ran as combiner."`
+	Combined     uint64 `json:"combined" help:"Combining queues: operations applied by combiners."`
+	LockAcq      uint64 `json:"lock_acquisitions" help:"Lock acquisitions (blocking queues)."`
 }
 
-// Add accumulates o into c. The mirror annotation makes lcrqlint's
-// statsmirror analyzer verify that no Counters field is dropped from the
-// sum; TestAddAccumulatesEveryField is the runtime backstop.
-//
-//lcrq:mirror Counters
+// numCounters is the number of counters in Counters.
+const numCounters = int(unsafe.Sizeof(Counters{}) / 8)
+
+// Field describes one Counters field: its export name and help text.
+type Field struct {
+	Name string
+	Help string
+}
+
+// fields is the counter table, index-aligned with the words of Counters.
+var fields = buildFields()
+
+// buildFields reads the tags of Counters once. The words view behind Add,
+// All and AtomicCounters is only sound while every field is a uint64 at its
+// index's offset, so a declaration that breaks that panics here.
+// TestCounterRegistry checks the tags themselves.
+func buildFields() [numCounters]Field {
+	var tab [numCounters]Field
+	rt := reflect.TypeOf(Counters{})
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		if f.Type.Kind() != reflect.Uint64 || f.Offset != uintptr(8*i) {
+			panic(fmt.Sprintf("instrument: Counters.%s is not the uint64 word %d", f.Name, i))
+		}
+		tab[i] = Field{Name: f.Tag.Get("json"), Help: f.Tag.Get("help")}
+	}
+	return tab
+}
+
+// words views c as its array of counters.
+func (c *Counters) words() *[numCounters]uint64 {
+	return (*[numCounters]uint64)(unsafe.Pointer(c))
+}
+
+// All yields every counter with its value, in declaration order.
+func (c *Counters) All() iter.Seq2[Field, uint64] {
+	return func(yield func(Field, uint64) bool) {
+		for i, v := range c.words() {
+			if !yield(fields[i], v) {
+				return
+			}
+		}
+	}
+}
+
+// Add accumulates o into c.
 func (c *Counters) Add(o *Counters) {
-	c.Enqueues += o.Enqueues
-	c.Dequeues += o.Dequeues
-	c.Empty += o.Empty
-	c.FAA += o.FAA
-	c.SWAP += o.SWAP
-	c.TAS += o.TAS
-	c.CAS += o.CAS
-	c.CASFail += o.CASFail
-	c.CAS2 += o.CAS2
-	c.CAS2Fail += o.CAS2Fail
-	c.CellRetries += o.CellRetries
-	c.EmptyTrans += o.EmptyTrans
-	c.UnsafeTrans += o.UnsafeTrans
-	c.SpinWaits += o.SpinWaits
-	c.Closes += o.Closes
-	c.ThresholdEmpty += o.ThresholdEmpty
-	c.FreeEmpty += o.FreeEmpty
-	c.Appends += o.Appends
-	c.Recycled += o.Recycled
-	c.BatchEnqueues += o.BatchEnqueues
-	c.BatchDequeues += o.BatchDequeues
-	c.BatchSpill += o.BatchSpill
-	c.GateSpins += o.GateSpins
-	c.TraceArms += o.TraceArms
-	c.TraceHits += o.TraceHits
-	c.CombinerRuns += o.CombinerRuns
-	c.Combined += o.Combined
-	c.LockAcq += o.LockAcq
+	w, ow := c.words(), o.words()
+	for i := range w {
+		w[i] += ow[i]
+	}
 }
 
 // Ops returns the total number of completed operations.
@@ -122,34 +154,21 @@ func (c *Counters) CASFailuresPerOp() float64 {
 	return float64(c.CASFail+c.CAS2Fail) / float64(ops)
 }
 
-// NumFields returns the number of counter fields in Counters. Every field is
-// a uint64, a property AtomicCounters relies on (and a test enforces).
-func NumFields() int { return counterType.NumField() }
-
-var counterType = reflect.TypeOf(Counters{})
-
 // AtomicCounters is an atomically readable mirror of a Counters value: the
 // owning thread Stores its plain counters into it at a coarse cadence, and
 // any thread may Load a torn-free (per-field consistent) copy concurrently.
 // This is the publication half of the telemetry layer's counter aggregation:
 // the fast path keeps its plain single-writer fields, and only the amortized
-// publication touches atomics. Field mapping is by reflection over Counters,
-// so newly added counters are picked up automatically.
+// publication touches atomics. The zero value is ready to use.
 type AtomicCounters struct {
-	v []atomic.Uint64
-}
-
-// NewAtomicCounters returns an empty mirror sized to Counters.
-func NewAtomicCounters() *AtomicCounters {
-	return &AtomicCounters{v: make([]atomic.Uint64, NumFields())}
+	v [numCounters]atomic.Uint64
 }
 
 // Store publishes a snapshot of c. Only the owner of c may call Store, and
 // not concurrently with itself.
 func (a *AtomicCounters) Store(c *Counters) {
-	rv := reflect.ValueOf(c).Elem()
-	for i := range a.v {
-		a.v[i].Store(rv.Field(i).Uint())
+	for i, v := range c.words() {
+		a.v[i].Store(v)
 	}
 }
 
@@ -158,9 +177,9 @@ func (a *AtomicCounters) Store(c *Counters) {
 // fine for monotone counters read for monitoring.
 func (a *AtomicCounters) Load() Counters {
 	var c Counters
-	rv := reflect.ValueOf(&c).Elem()
+	w := c.words()
 	for i := range a.v {
-		rv.Field(i).SetUint(a.v[i].Load())
+		w[i] = a.v[i].Load()
 	}
 	return c
 }

@@ -2,55 +2,85 @@ package instrument
 
 import (
 	"reflect"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func TestAddAccumulatesEveryField(t *testing.T) {
-	// Fill a Counters with distinct values per field via reflection so this
-	// test fails if a newly added field is forgotten in Add. The primary
-	// guard is lcrqlint's statsmirror analyzer (//lcrq:mirror Counters on
-	// Add); this is the runtime backstop.
-	mk := func(base uint64) *Counters {
-		c := &Counters{}
-		v := reflect.ValueOf(c).Elem()
-		for i := 0; i < v.NumField(); i++ {
-			v.Field(i).SetUint(base + uint64(i))
+// fill sets the i-th field of a Counters to base+i·step by reflection, which
+// is independent of the field table the code under test loops over.
+func fill(base, step uint64) *Counters {
+	c := &Counters{}
+	v := reflect.ValueOf(c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(base + uint64(i)*step)
+	}
+	return c
+}
+
+// values reads c back through the table, in declaration order.
+func values(c *Counters) []uint64 {
+	var out []uint64
+	for _, v := range c.All() {
+		out = append(out, v)
+	}
+	return out
+}
+
+// TestCounterRegistry checks the tags every exporter derives its series
+// from: each Counters field is a uint64 with a unique snake_case json name
+// and a help text, and All yields them in declaration order.
+func TestCounterRegistry(t *testing.T) {
+	snake := regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+	rt := reflect.TypeOf(Counters{})
+	var table []Field
+	for f := range fill(0, 1).All() {
+		table = append(table, f)
+	}
+	if rt.NumField() != numCounters || len(table) != numCounters {
+		t.Fatalf("Counters has %d fields, numCounters = %d, All yields %d",
+			rt.NumField(), numCounters, len(table))
+	}
+	seen := map[string]string{}
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		name, help := f.Tag.Get("json"), f.Tag.Get("help")
+		if f.Type.Kind() != reflect.Uint64 {
+			t.Errorf("Counters.%s is %v, want uint64", f.Name, f.Type)
 		}
-		return c
+		if !snake.MatchString(name) {
+			t.Errorf("Counters.%s json name %q is not snake_case", f.Name, name)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("Counters.%s and Counters.%s share the json name %q", prev, f.Name, name)
+		}
+		seen[name] = f.Name
+		if help == "" {
+			t.Errorf("Counters.%s has no help tag", f.Name)
+		}
+		if table[i] != (Field{Name: name, Help: help}) {
+			t.Errorf("All yields %+v at %d, want the tags of Counters.%s", table[i], i, f.Name)
+		}
 	}
-	a, b := mk(100), mk(1000)
-	want := &Counters{}
-	wv := reflect.ValueOf(want).Elem()
-	for i := 0; i < wv.NumField(); i++ {
-		wv.Field(i).SetUint(100 + 1000 + 2*uint64(i))
-	}
-	a.Add(b)
-	if !reflect.DeepEqual(a, want) {
-		t.Fatalf("Add missed a field:\ngot  %+v\nwant %+v", a, want)
+}
+
+func TestAddAccumulatesEveryField(t *testing.T) {
+	a := fill(100, 1)
+	a.Add(fill(1000, 1))
+	if got, want := values(a), values(fill(1100, 2)); !slices.Equal(got, want) {
+		t.Fatalf("Add missed a field:\ngot  %v\nwant %v", got, want)
 	}
 }
 
 func TestAtomicCountersRoundTrip(t *testing.T) {
-	// Every Counters field must be uint64: AtomicCounters mirrors the struct
-	// field-by-field through atomic.Uint64 slots.
-	rt := reflect.TypeOf(Counters{})
-	for i := 0; i < rt.NumField(); i++ {
-		if rt.Field(i).Type.Kind() != reflect.Uint64 {
-			t.Fatalf("Counters.%s is %v, want uint64", rt.Field(i).Name, rt.Field(i).Type)
-		}
-	}
-	c := &Counters{}
-	v := reflect.ValueOf(c).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		v.Field(i).SetUint(7 + uint64(i)*13)
-	}
-	a := NewAtomicCounters()
+	c := fill(7, 13)
+	var a AtomicCounters
 	a.Store(c)
 	got := a.Load()
-	if !reflect.DeepEqual(&got, c) {
-		t.Fatalf("round trip lost fields:\ngot  %+v\nwant %+v", got, c)
+	if !slices.Equal(values(&got), values(c)) {
+		t.Fatalf("round trip lost fields:\ngot  %v\nwant %v", values(&got), values(c))
 	}
 }
 
@@ -88,7 +118,7 @@ func TestAddCommutative(t *testing.T) {
 		x.Add(&b)
 		y.Add(&a)
 		// y started as b and accumulated a; compare to x (a accumulated b).
-		return reflect.DeepEqual(x, y)
+		return slices.Equal(values(&x), values(&y))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

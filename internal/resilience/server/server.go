@@ -575,13 +575,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 		"drain_rate":  s.rate.PerSecond(),
 		"ring_events": m.RingEvents,
 		"events":      tail,
-		"stats": map[string]any{
-			"enqueues":   m.Stats.Enqueues,
-			"dequeues":   m.Stats.Dequeues,
-			"empty":      m.Stats.Empty,
-			"trace_arms": m.Stats.TraceArms,
-			"trace_hits": m.Stats.TraceHits,
-		},
+		"stats":       m.Stats,
 		"latency": map[string]any{
 			"enqueue":      lat(m.Enqueue),
 			"dequeue":      lat(m.Dequeue),

@@ -146,7 +146,7 @@ func New(sampleN int, eventCap int) *Sink {
 	s := &Sink{
 		sampleN: uint32(sampleN),
 		epoch:   time.Now().UnixNano(),
-		retPub:  instrument.NewAtomicCounters(),
+		retPub:  new(instrument.AtomicCounters),
 		events:  newEventRing(eventCap),
 		traces:  newTraceRing(DefaultTraceBuffer),
 		sojourn: newLatHist(),
@@ -187,7 +187,7 @@ type Rec struct {
 // Register adds a handle's counters to the aggregation set and returns its
 // record. src must remain owned by the registering goroutine.
 func (s *Sink) Register(src *instrument.Counters) *Rec {
-	r := &Rec{sink: s, src: src, pub: instrument.NewAtomicCounters()}
+	r := &Rec{sink: s, src: src, pub: new(instrument.AtomicCounters)}
 	if s.sampleN > 0 {
 		// Random phase per handle so samplers do not run in lockstep.
 		seed := s.seedCtr.Add(1) * 0x9E3779B97F4A7C15

@@ -424,7 +424,7 @@ func (h *Handle) dequeueWait(ctx context.Context) (uint64, error) {
 
 // Stats returns a snapshot of the operation statistics accumulated by this
 // handle. Meaningful only while the owning goroutine is not mid-operation.
-func (h *Handle) Stats() Stats { return statsFromCounters(&h.h.C) }
+func (h *Handle) Stats() Stats { return h.h.C }
 
 // Release returns the handle's resources (its hazard-pointer record) to the
 // queue. The handle must not be used afterwards. With telemetry enabled the

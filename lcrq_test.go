@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"lcrq/internal/core"
 )
 
 func TestQueueBasic(t *testing.T) {
@@ -85,13 +87,13 @@ func TestOptionsApply(t *testing.T) {
 		opts []Option
 	}{
 		{"ring size", []Option{WithRingSize(100)}}, // rounds to 128
-		{"ring order", []Option{WithRingOrder(5)}},
-		{"cas loop", []Option{WithCASLoopFAA()}},
+		{"ring order", []Option{func(c *core.Config) { c.RingOrder = 5 }}},
+		{"cas loop", []Option{func(c *core.Config) { c.CASLoopFAA = true }}},
 		{"hierarchical", []Option{WithHierarchical(time.Millisecond)}},
-		{"no padding", []Option{WithoutPadding()}},
-		{"no recycling", []Option{WithoutRecycling()}},
-		{"no hazard", []Option{WithoutHazardPointers(), WithRingSize(8)}},
-		{"spin", []Option{WithSpinWait(3)}},
+		{"no padding", []Option{func(c *core.Config) { c.NoPadding = true }}},
+		{"no recycling", []Option{func(c *core.Config) { c.NoRecycle = true }}},
+		{"no hazard", []Option{func(c *core.Config) { c.NoHazard = true }, WithRingSize(8)}},
+		{"spin", []Option{func(c *core.Config) { c.SpinWait = 3 }}},
 		{"starvation", []Option{WithStarvationLimit(5)}},
 		{"tiny ring", []Option{WithRingSize(1)}}, // clamps to 2
 	}
@@ -127,27 +129,27 @@ func TestStatsSnapshot(t *testing.T) {
 	if s.Enqueues != 10 || s.Dequeues != 12 || s.Empty != 2 {
 		t.Fatalf("stats: %+v", s)
 	}
-	if s.FetchAdds == 0 || s.CAS2Attempts == 0 {
+	if s.FAA == 0 || s.CAS2 == 0 {
 		t.Fatalf("instruction counts empty: %+v", s)
 	}
-	if s.AtomicsPerOp <= 0 {
-		t.Fatalf("AtomicsPerOp = %v", s.AtomicsPerOp)
+	if s.AtomicsPerOp() <= 0 {
+		t.Fatalf("AtomicsPerOp = %v", s.AtomicsPerOp())
 	}
 }
 
 func TestStatsAdd(t *testing.T) {
-	a := Stats{Enqueues: 2, Dequeues: 2, AtomicsPerOp: 2, FetchAdds: 8}
-	b := Stats{Enqueues: 6, Dequeues: 6, AtomicsPerOp: 4, FetchAdds: 48}
-	c := a.Add(b)
-	if c.Enqueues != 8 || c.FetchAdds != 56 {
-		t.Fatalf("sum: %+v", c)
+	a := Stats{Enqueues: 2, Dequeues: 2, FAA: 8}
+	b := Stats{Enqueues: 6, Dequeues: 6, FAA: 40, CAS2: 8}
+	a.Add(&b)
+	if a.Enqueues != 8 || a.FAA != 48 || a.CAS2 != 8 {
+		t.Fatalf("sum: %+v", a)
 	}
-	// Weighted average: (2*4 + 4*12)/16 = 3.5
-	if c.AtomicsPerOp != 3.5 {
-		t.Fatalf("AtomicsPerOp = %v, want 3.5", c.AtomicsPerOp)
+	// Derived from the summed counts: (48 + 8) / 16 = 3.5
+	if got := a.AtomicsPerOp(); got != 3.5 {
+		t.Fatalf("AtomicsPerOp = %v, want 3.5", got)
 	}
 	var zero Stats
-	if z := zero.Add(zero); z.AtomicsPerOp != 0 {
+	if zero.Add(&zero); zero.AtomicsPerOp() != 0 {
 		t.Fatal("zero add produced nonzero average")
 	}
 }

@@ -176,7 +176,7 @@ func (q *Queue) Metrics() Metrics {
 		return m
 	}
 	snap := q.tel.Snapshot()
-	m.Stats = statsFromCounters(&snap.Counters)
+	m.Stats = snap.Counters
 	m.Handles = snap.Handles
 	m.SampleN = snap.SampleN
 	m.TraceSampleN = q.q.TraceSampleN()

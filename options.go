@@ -24,11 +24,6 @@ func WithRingSize(r int) Option {
 	}
 }
 
-// WithRingOrder sets log2 of the ring segment capacity directly.
-func WithRingOrder(order int) Option {
-	return func(c *core.Config) { c.RingOrder = order }
-}
-
 // WithPortableRing selects the SCQ ring engine (Nikolaev's scalable
 // circular queue): cycle-tagged 64-bit entries driven by single-word
 // CAS/AND, so rings are lock-free on any GOARCH — no CMPXCHG16B, no
@@ -47,13 +42,6 @@ func WithCAS2Ring() Option {
 	return func(c *core.Config) { c.Ring = core.RingCAS2 }
 }
 
-// WithCASLoopFAA emulates fetch-and-add with a CAS loop, reproducing the
-// paper's LCRQ-CAS comparison point. Strictly worse under contention; it
-// exists to measure exactly how much worse.
-func WithCASLoopFAA() Option {
-	return func(c *core.Config) { c.CASLoopFAA = true }
-}
-
 // WithHierarchical enables the LCRQ+H cluster-batching optimization: an
 // operation arriving from a cluster other than the ring's current owner
 // waits up to timeout (0 means the paper's 100 µs) before proceeding,
@@ -64,36 +52,6 @@ func WithHierarchical(timeout time.Duration) Option {
 		c.Hierarchical = true
 		c.ClusterTimeout = timeout
 	}
-}
-
-// WithoutPadding packs ring cells densely (16 bytes each) instead of
-// padding them to a false-sharing range. Saves 8× memory per ring at the
-// cost of false sharing between neighboring cells.
-func WithoutPadding() Option {
-	return func(c *core.Config) { c.NoPadding = true }
-}
-
-// WithoutRecycling disables hazard-pointer ring recycling; retired rings
-// are left to the garbage collector.
-func WithoutRecycling() Option {
-	return func(c *core.Config) { c.NoRecycle = true }
-}
-
-// WithoutHazardPointers selects GC-only reclamation: hazard pointers leave
-// the operation path entirely and Go's garbage collector alone keeps
-// retired rings safe (an option the paper's C implementation does not
-// have). Implies WithoutRecycling, so every appended ring is a fresh
-// allocation. It exists as the DESIGN.md §5 ablation that measures what
-// the hazard pointers cost; see BenchmarkAblationReclamation.
-func WithoutHazardPointers() Option {
-	return func(c *core.Config) { c.NoHazard = true }
-}
-
-// WithSpinWait bounds how long a dequeuer waits for an in-flight matching
-// enqueuer before poisoning the cell (§4.1.1 of the paper). iters < 0
-// disables the wait; 0 selects the default.
-func WithSpinWait(iters int) Option {
-	return func(c *core.Config) { c.SpinWait = iters }
 }
 
 // WithStarvationLimit sets how many failed attempts an enqueuer tolerates

@@ -51,7 +51,7 @@ func (h *Packed32Handle) Enqueue(v uint32) { h.q.Enqueue(h.h, v) }
 func (h *Packed32Handle) Dequeue() (v uint32, ok bool) { return h.q.Dequeue(h.h) }
 
 // Stats returns a snapshot of this handle's operation statistics.
-func (h *Packed32Handle) Stats() Stats { return statsFromCounters(&h.h.C) }
+func (h *Packed32Handle) Stats() Stats { return h.h.C }
 
 // Release is a no-op today (the portable queue holds no per-thread
 // resources beyond counters) but is part of the handle contract so callers

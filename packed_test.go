@@ -32,8 +32,8 @@ func TestPacked32DefaultOrder(t *testing.T) {
 	for i := uint32(0); i < 4000; i++ {
 		h.Enqueue(i)
 	}
-	if s := h.Stats(); s.RingAppends != 0 {
-		t.Fatalf("default-order queue appended %d segments for 4000 items", s.RingAppends)
+	if s := h.Stats(); s.Appends != 0 {
+		t.Fatalf("default-order queue appended %d segments for 4000 items", s.Appends)
 	}
 }
 
@@ -61,7 +61,7 @@ func TestPacked32StatsWired(t *testing.T) {
 	if s.Enqueues != 100 || s.Dequeues != 100 {
 		t.Fatalf("stats: %+v", s)
 	}
-	if s.FetchAdds == 0 || s.RingAppends == 0 {
+	if s.FAA == 0 || s.Appends == 0 {
 		t.Fatalf("tiny ring should append segments: %+v", s)
 	}
 }
