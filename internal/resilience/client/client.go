@@ -32,7 +32,9 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,6 +77,10 @@ type Client struct {
 	http   *http.Client
 	budget *budget
 	keySeq atomic.Uint64
+	// The endpoint URLs, parsed once; requests share them read-only. When
+	// BaseURL does not parse they are nil and urlErr says why.
+	enqueueURL, dequeueURL *url.URL
+	urlErr                 error
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -115,13 +121,46 @@ func New(cfg Config) *Client {
 	if cfg.KeyPrefix == "" {
 		cfg.KeyPrefix = fmt.Sprintf("c%08x", rng.Uint32())
 	}
-	return &Client{
+	c := &Client{
 		cfg:    cfg,
 		http:   cfg.HTTPClient,
 		budget: newBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst),
 		rng:    rng,
 	}
+	c.enqueueURL, c.urlErr = endpoint(cfg.BaseURL + "/v1/enqueue")
+	if c.urlErr == nil {
+		c.dequeueURL, c.urlErr = endpoint(cfg.BaseURL + "/v1/dequeue")
+	}
+	return c
 }
+
+// endpoint parses an endpoint URL as http.NewRequest would.
+func endpoint(raw string) (*url.URL, error) {
+	u, err := url.Parse(raw)
+	if err != nil {
+		return nil, err
+	}
+	u.Host = strings.TrimSuffix(u.Host, ":")
+	return u, nil
+}
+
+// nextKey returns a fresh idempotency key: the prefix and a sequence number.
+func (c *Client) nextKey() string {
+	var buf [64]byte
+	b := append(append(buf[:0], c.cfg.KeyPrefix...), '-')
+	return string(strconv.AppendUint(b, c.keySeq.Add(1), 10))
+}
+
+// bufPool holds the buffers response bodies are read into.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBuf is the largest buffer returned to bufPool; a larger one,
+// left by an unusually large response, goes to the collector instead.
+const maxPooledBuf = 64 << 10
+
+// jsonContentType is the Content-Type of every request. The slice is
+// shared, so it must not be modified.
+var jsonContentType = []string{"application/json"}
 
 // Spans decomposes one client call's wall time for cross-layer trace
 // attribution: where an operation's latency went, as seen from the caller.
@@ -163,7 +202,7 @@ var ErrBudgetExhausted = errors.New("client: retry budget exhausted")
 // It returns how many leading values the server holds. A partial accept is
 // success: the caller resends the tail as a new batch (EnqueueAll does).
 func (c *Client) Enqueue(ctx context.Context, values []uint64, timeout time.Duration) (int, error) {
-	return c.EnqueueKeyed(ctx, fmt.Sprintf("%s-%d", c.cfg.KeyPrefix, c.keySeq.Add(1)), values, timeout)
+	return c.EnqueueKeyed(ctx, c.nextKey(), values, timeout)
 }
 
 // EnqueueKeyed is Enqueue under a caller-chosen idempotency key. Use it
@@ -173,14 +212,12 @@ func (c *Client) Enqueue(ctx context.Context, values []uint64, timeout time.Dura
 // so a batch whose response was lost to a dead connection can be settled
 // definitively by resending it.
 func (c *Client) EnqueueKeyed(ctx context.Context, key string, values []uint64, timeout time.Duration) (int, error) {
-	req := resilience.EnqueueRequest{
+	n, _, err := c.enqueue(ctx, resilience.EnqueueRequest{
 		Values:         values,
 		TimeoutMs:      timeout.Milliseconds(),
 		IdempotencyKey: key,
-	}
-	var out resilience.EnqueueResponse
-	err := c.do(ctx, "/v1/enqueue", req, &out)
-	return out.Accepted, err
+	})
+	return n, err
 }
 
 // Dequeue asks for up to max values, long-polling up to wait. An immediate
@@ -189,9 +226,8 @@ func (c *Client) EnqueueKeyed(ctx context.Context, key string, values []uint64, 
 // retry loop (budget permitting) keeps polling. A 503 *APIError with token
 // "closed" is terminal: the queue is drained for good.
 func (c *Client) Dequeue(ctx context.Context, max int, wait time.Duration) ([]uint64, error) {
-	req := resilience.DequeueRequest{Max: max, WaitMs: wait.Milliseconds()}
-	var out resilience.DequeueResponse
-	if err := c.do(ctx, "/v1/dequeue", req, &out); err != nil {
+	out, _, err := c.dequeue(ctx, max, wait)
+	if err != nil {
 		return nil, err
 	}
 	return out.Values, nil
@@ -205,17 +241,14 @@ func (c *Client) Dequeue(ctx context.Context, max int, wait time.Duration) ([]ui
 // end-to-end latency attribution.
 func (c *Client) EnqueueTraced(ctx context.Context, key string, values []uint64, timeout time.Duration, traceID uint64) (int, Spans, error) {
 	if key == "" {
-		key = fmt.Sprintf("%s-%d", c.cfg.KeyPrefix, c.keySeq.Add(1))
+		key = c.nextKey()
 	}
-	req := resilience.EnqueueRequest{
+	return c.enqueue(ctx, resilience.EnqueueRequest{
 		Values:         values,
 		TimeoutMs:      timeout.Milliseconds(),
 		IdempotencyKey: key,
 		TraceID:        resilience.FormatTraceID(traceID),
-	}
-	var out resilience.EnqueueResponse
-	sp, err := c.doSpans(ctx, "/v1/enqueue", req, &out)
-	return out.Accepted, sp, err
+	})
 }
 
 // DequeueTraced is Dequeue returning the item traces riding on the
@@ -223,13 +256,35 @@ func (c *Client) EnqueueTraced(ctx context.Context, key string, values []uint64,
 // responses carry no traces unless the server's queue samples aggressively
 // or enqueuers force identities.
 func (c *Client) DequeueTraced(ctx context.Context, max int, wait time.Duration) ([]uint64, []resilience.WireTrace, Spans, error) {
-	req := resilience.DequeueRequest{Max: max, WaitMs: wait.Milliseconds()}
-	var out resilience.DequeueResponse
-	sp, err := c.doSpans(ctx, "/v1/dequeue", req, &out)
+	out, sp, err := c.dequeue(ctx, max, wait)
 	if err != nil {
 		return nil, nil, sp, err
 	}
 	return out.Values, out.Traces, sp, nil
+}
+
+// enqueue runs one EnqueueKeyed or EnqueueTraced call. The request body
+// gets a buffer of its own: the transport may still be reading a body
+// after the exchange returns, so request bodies are not pooled.
+func (c *Client) enqueue(ctx context.Context, req resilience.EnqueueRequest) (int, Spans, error) {
+	n := 64 + 21*len(req.Values) + len(req.IdempotencyKey) + len(req.TraceID)
+	payload := resilience.AppendEnqueueRequest(make([]byte, 0, n), req)
+	var out resilience.EnqueueResponse
+	sp, err := c.doSpans(ctx, c.enqueueURL, payload, func(b []byte) error {
+		return resilience.DecodeEnqueueResponse(b, &out)
+	})
+	return out.Accepted, sp, err
+}
+
+// dequeue runs one Dequeue or DequeueTraced call.
+func (c *Client) dequeue(ctx context.Context, max int, wait time.Duration) (resilience.DequeueResponse, Spans, error) {
+	payload := resilience.AppendDequeueRequest(make([]byte, 0, 48),
+		resilience.DequeueRequest{Max: max, WaitMs: wait.Milliseconds()})
+	var out resilience.DequeueResponse
+	sp, err := c.doSpans(ctx, c.dequeueURL, payload, func(b []byte) error {
+		return resilience.DecodeDequeueResponse(b, &out)
+	})
+	return out, sp, err
 }
 
 // EnqueueAll pushes every value, splitting into batches of batchSize and
@@ -290,21 +345,12 @@ func (c *Client) EnqueueAll(ctx context.Context, values []uint64, batchSize, inf
 	return int(accepted.Load()), nil
 }
 
-// do runs one request with the retry loop.
-func (c *Client) do(ctx context.Context, path string, reqBody, respBody any) error {
-	_, err := c.doSpans(ctx, path, reqBody, respBody)
-	return err
-}
-
-// doSpans is do with span accounting: every sleep and exchange is timed so
-// traced callers can attribute the call's latency (see Spans).
-func (c *Client) doSpans(ctx context.Context, path string, reqBody, respBody any) (Spans, error) {
+// doSpans runs one request with the retry loop, sending payload to u and
+// handing a 200 answer's body to decode. Every sleep and exchange is timed
+// so traced callers can attribute the call's latency (see Spans).
+func (c *Client) doSpans(ctx context.Context, u *url.URL, payload []byte, decode func([]byte) error) (Spans, error) {
 	var sp Spans
 	start := time.Now()
-	payload, err := json.Marshal(reqBody)
-	if err != nil {
-		return sp, err
-	}
 	c.budget.deposit()
 
 	var lastErr error
@@ -326,7 +372,7 @@ func (c *Client) doSpans(ctx context.Context, path string, reqBody, respBody any
 			}
 		}
 		t0 := time.Now()
-		lastErr = c.once(ctx, path, payload, respBody)
+		lastErr = c.once(ctx, u, payload, decode)
 		sp.LastWire = time.Since(t0)
 		sp.Wire += sp.LastWire
 		sp.Attempts++
@@ -347,23 +393,43 @@ func (c *Client) doSpans(ctx context.Context, path string, reqBody, respBody any
 }
 
 // once performs a single HTTP exchange.
-func (c *Client) once(ctx context.Context, path string, payload []byte, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.BaseURL+path, bytes.NewReader(payload))
-	if err != nil {
-		return err
+func (c *Client) once(ctx context.Context, u *url.URL, payload []byte, decode func([]byte) error) error {
+	if u == nil {
+		return c.urlErr
 	}
-	req.Header.Set("Content-Type", "application/json")
+	// What http.NewRequestWithContext builds, without parsing the URL again.
+	req := (&http.Request{
+		Method:        http.MethodPost,
+		URL:           u,
+		Host:          u.Host,
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        http.Header{"Content-Type": jsonContentType},
+		Body:          io.NopCloser(bytes.NewReader(payload)),
+		ContentLength: int64(len(payload)),
+		GetBody: func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(payload)), nil
+		},
+	}).WithContext(ctx)
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return err // transport failure: retryable (keys make resends safe)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBuf {
+			buf.Reset()
+			bufPool.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, 1<<20)); err != nil {
 		return err
 	}
+	data := buf.Bytes()
 	if resp.StatusCode == http.StatusOK {
-		return json.Unmarshal(data, out)
+		return decode(data)
 	}
 	apiErr := &APIError{Status: resp.StatusCode}
 	var e resilience.ErrorResponse

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 )
@@ -39,17 +40,18 @@ func (s State) String() string {
 // read it with one atomic load while shutdown logic waits on transitions.
 // The zero value is Serving.
 type Lifecycle struct {
-	state    atomic.Int32
-	draining chan struct{}
-	closed   chan struct{}
-	initOnce sync.Once
-	drainOne sync.Once
-	closeOne sync.Once
+	state      atomic.Int32
+	draining   context.Context
+	endServing context.CancelFunc // cancels draining
+	closed     chan struct{}
+	initOnce   sync.Once
+	drainOne   sync.Once
+	closeOne   sync.Once
 }
 
 func (l *Lifecycle) init() {
 	l.initOnce.Do(func() {
-		l.draining = make(chan struct{})
+		l.draining, l.endServing = context.WithCancel(context.Background())
 		l.closed = make(chan struct{})
 	})
 }
@@ -66,7 +68,7 @@ func (l *Lifecycle) BeginDrain() bool {
 	first := false
 	l.drainOne.Do(func() {
 		l.state.CompareAndSwap(int32(Serving), int32(Draining))
-		close(l.draining)
+		l.endServing()
 		first = true
 	})
 	return first
@@ -77,14 +79,15 @@ func (l *Lifecycle) BeginDrain() bool {
 func (l *Lifecycle) MarkClosed() {
 	l.init()
 	l.closeOne.Do(func() {
-		l.drainOne.Do(func() { close(l.draining) }) // an un-drained close still releases drain waiters
+		l.drainOne.Do(l.endServing) // an un-drained close still releases drain waiters
 		l.state.Store(int32(Closed))
 		close(l.closed)
 	})
 }
 
-// DrainBegun returns a channel closed once draining (or closing) begins.
-func (l *Lifecycle) DrainBegun() <-chan struct{} { l.init(); return l.draining }
+// Draining returns a context cancelled once draining (or closing) begins.
+// A wait that a drain must cut short hangs off it with context.AfterFunc.
+func (l *Lifecycle) Draining() context.Context { l.init(); return l.draining }
 
 // Done returns a channel closed once the lifecycle reaches Closed.
 func (l *Lifecycle) Done() <-chan struct{} { l.init(); return l.closed }

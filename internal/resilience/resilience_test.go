@@ -154,10 +154,8 @@ func TestLifecycle(t *testing.T) {
 	if l.State() != Serving || l.State().String() != "serving" {
 		t.Fatalf("zero lifecycle = %v", l.State())
 	}
-	select {
-	case <-l.DrainBegun():
-		t.Fatal("DrainBegun closed before BeginDrain")
-	default:
+	if l.Draining().Err() != nil {
+		t.Fatal("Draining cancelled before BeginDrain")
 	}
 
 	if !l.BeginDrain() {
@@ -169,7 +167,7 @@ func TestLifecycle(t *testing.T) {
 	if l.State() != Draining {
 		t.Fatalf("state after BeginDrain = %v", l.State())
 	}
-	<-l.DrainBegun() // must not block
+	<-l.Draining().Done() // must not block
 
 	l.MarkClosed()
 	l.MarkClosed() // idempotent
@@ -181,7 +179,7 @@ func TestLifecycle(t *testing.T) {
 	// Closing without draining still releases drain waiters.
 	var abort Lifecycle
 	abort.MarkClosed()
-	<-abort.DrainBegun()
+	<-abort.Draining().Done()
 	<-abort.Done()
 	if abort.BeginDrain() {
 		t.Fatal("BeginDrain after close must be a no-op")

@@ -20,6 +20,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -41,7 +42,8 @@ type Config struct {
 	// closes it.
 	Queue *lcrq.Queue
 
-	// MaxBatch caps values per enqueue/dequeue request (default 1024).
+	// MaxBatch caps values per enqueue/dequeue request (default 1024). It
+	// also sets the request body cap, 4096 + 32×MaxBatch bytes.
 	MaxBatch int
 	// MaxDeadline caps client-requested waits (default 60s). A client
 	// asking for more gets this much.
@@ -79,11 +81,34 @@ type Server struct {
 	build buildmeta.Meta // collected once at startup; /statsz embeds it
 	mux   *http.ServeMux
 
+	maxBody int64 // request body cap, from MaxBatch
+
 	enqGate   sync.RWMutex // held (R) across each enqueue; (W) by drain to settle them
 	lastDepth atomic.Int64 // queue depth as of the last health poll
 	drainOnce sync.Once
 	drainErr  error
 }
+
+// bodyLimit is the request body cap for a max batch of n values: n
+// 20-digit values with room for separators and indentation, plus 4 KiB
+// for the other fields. A body over it is refused before it is decoded,
+// so no client can make the server buffer more than a maximal request.
+func bodyLimit(n int) int64 { return 4096 + 32*int64(n) }
+
+// scratch is one request's reusable memory: the body, the values it
+// carries or asks for, and the encoded answer. Handlers take one from
+// scratchPool and return it when the answer is written.
+type scratch struct {
+	body bytes.Buffer
+	vals []uint64
+	out  []byte
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// jsonContentType is the Content-Type of every JSON answer. The slice is
+// shared, so it must not be modified.
+var jsonContentType = []string{"application/json"}
 
 // New returns a serving front end and starts its health-poll loop. The
 // loop stops when the server reaches Closed (after Drain, or Close).
@@ -115,6 +140,9 @@ func New(cfg Config) *Server {
 		dedup: resilience.NewDedup(cfg.DedupCapacity),
 		build: buildmeta.Collect(),
 		mux:   http.NewServeMux(),
+		// The cap covers dequeue requests too: they are smaller, and one
+		// limit is one less thing to explain.
+		maxBody: bodyLimit(cfg.MaxBatch),
 	}
 	s.mux.HandleFunc("POST /v1/enqueue", s.handleEnqueue)
 	s.mux.HandleFunc("POST /v1/dequeue", s.handleDequeue)
@@ -197,9 +225,9 @@ func (s *Server) drain(ctx context.Context) error {
 		defer cancel()
 	}
 
-	// Settle in-flight enqueues. Their wait loops observe DrainBegun
-	// through the per-request context, so this gate closes within one
-	// poll of the flip rather than a full client deadline later.
+	// Settle in-flight enqueues. BeginDrain cancelled the lifecycle's
+	// Draining context, which ends their waits, so this gate closes within
+	// one poll of the flip rather than a full client deadline later.
 	s.enqGate.Lock()
 	s.enqGate.Unlock() //nolint:staticcheck // empty critical section is the settle barrier
 
@@ -229,41 +257,45 @@ func (s *Server) Close() {
 	s.q.Close() // idempotent; covers the abort-without-drain path
 }
 
-// reqContext derives the operation context: the request's own context
-// (client disconnects propagate) bounded by the requested timeout, capped
-// at MaxDeadline, and — for enqueues — cut short when a drain begins.
-func (s *Server) reqContext(r *http.Request, timeoutMs int64, cancelOnDrain bool) (context.Context, context.CancelFunc) {
-	d := time.Duration(timeoutMs) * time.Millisecond
-	if d > s.cfg.MaxDeadline {
-		d = s.cfg.MaxDeadline
+// waitContext derives the context of a wait the request asked for: the
+// request's own context (client disconnects propagate) bounded by the
+// requested timeout, capped at MaxDeadline, and — for enqueues — cut short
+// when a drain begins. Only a request that will wait builds one; ms > 0.
+func (s *Server) waitContext(r *http.Request, ms int64, cutOnDrain bool) (context.Context, context.CancelFunc) {
+	d := s.cfg.MaxDeadline
+	if ms < int64(d/time.Millisecond) {
+		d = time.Duration(ms) * time.Millisecond
 	}
-	ctx := r.Context()
-	var cancels []context.CancelFunc
-	if d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		cancels = append(cancels, cancel)
+	ctx, cancel := context.WithTimeout(r.Context(), d)
+	if !cutOnDrain {
+		return ctx, cancel
 	}
-	if cancelOnDrain {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(ctx)
-		cancels = append(cancels, cancel)
-		// A drain beginning must cut blocked enqueue waits short: without
-		// this, Drain's settle barrier would wait out every in-flight
-		// client deadline before the queue could close.
-		go func(done <-chan struct{}) {
-			select {
-			case <-s.life.DrainBegun():
-				cancel()
-			case <-done:
-			}
-		}(ctx.Done())
-	}
+	// A drain beginning must cut blocked enqueue waits short: without
+	// this, Drain's settle barrier would wait out every in-flight client
+	// deadline before the queue could close.
+	stop := context.AfterFunc(s.life.Draining(), cancel)
 	return ctx, func() {
-		for _, c := range cancels {
-			c()
-		}
+		stop()
+		cancel()
 	}
+}
+
+// readBody reads the request body into sc.body. A body over the cap, or
+// one the transport fails to deliver, is answered with 400 and ok false.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, sc *scratch) (body []byte, ok bool) {
+	sc.body.Reset()
+	_, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody))
+	if err == nil {
+		return sc.body.Bytes(), true
+	}
+	detail := err.Error()
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		detail = fmt.Sprintf("request body over %d bytes", s.maxBody)
+	}
+	s.ctrs.BadRequests.Add(1)
+	writeErr(w, http.StatusBadRequest, resilience.ErrTokenBadRequest, detail, 0)
+	return nil, false
 }
 
 // handleEnqueue is the accept path. Order matters: the lifecycle and the
@@ -272,8 +304,18 @@ func (s *Server) reqContext(r *http.Request, timeoutMs int64, cancelOnDrain bool
 // attempt on the contended item account.
 func (s *Server) handleEnqueue(w http.ResponseWriter, r *http.Request) {
 	s.ctrs.EnqueueRequests.Add(1)
-	var req resilience.EnqueueRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	body, ok := s.readBody(w, r, sc)
+	if !ok {
+		return
+	}
+	req := resilience.EnqueueRequest{Values: sc.vals}
+	err := resilience.DecodeEnqueueRequest(body, &req)
+	if cap(req.Values) > cap(sc.vals) {
+		sc.vals = req.Values[:0]
+	}
+	if err != nil {
 		s.ctrs.BadRequests.Add(1)
 		writeErr(w, http.StatusBadRequest, resilience.ErrTokenBadRequest, err.Error(), 0)
 		return
@@ -313,7 +355,8 @@ func (s *Server) handleEnqueue(w http.ResponseWriter, r *http.Request) {
 		if traced && out.Accepted > 0 {
 			resp.TraceID = req.TraceID
 		}
-		writeJSON(w, out.Status, resp)
+		sc.out = resilience.AppendEnqueueResponse(sc.out[:0], resp)
+		writeBody(w, out.Status, sc.out)
 		return
 	}
 
@@ -333,8 +376,14 @@ func (s *Server) handleEnqueue(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := s.reqContext(r, req.TimeoutMs, true)
-	defer cancel()
+	// Only an enqueue that may wait for budget needs a context of its own;
+	// one that tries once never consults it.
+	ctx := r.Context()
+	if req.TimeoutMs > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = s.waitContext(r, req.TimeoutMs, true)
+		defer cancel()
+	}
 	accepted, err := s.enqueue(ctx, req.Values, req.TimeoutMs > 0, traceID, traced)
 	if accepted > 0 {
 		s.ctrs.ItemsAccepted.Add(uint64(accepted))
@@ -346,7 +395,7 @@ func (s *Server) handleEnqueue(w http.ResponseWriter, r *http.Request) {
 	if traced && accepted > 0 {
 		echo = req.TraceID
 	}
-	status := s.enqueueStatus(w, r, accepted, err, echo)
+	status := s.enqueueStatus(w, r, sc, accepted, err, echo)
 	// Record only executions with side effects: replaying a 0-accepted
 	// failure re-executes harmlessly, but replaying an accept must not
 	// enqueue twice.
@@ -397,12 +446,13 @@ func (s *Server) enqueue(ctx context.Context, vs []uint64, wait bool, traceID ui
 }
 
 // enqueueStatus maps the outcome onto the wire and reports the status used.
-func (s *Server) enqueueStatus(w http.ResponseWriter, r *http.Request, accepted int, err error, traceID string) int {
+func (s *Server) enqueueStatus(w http.ResponseWriter, r *http.Request, sc *scratch, accepted int, err error, traceID string) int {
 	switch {
 	case err == nil, accepted > 0:
 		// Full or partial accept: the client learns how many leading
 		// values are in; the remainder is safely resendable.
-		writeJSON(w, http.StatusOK, resilience.EnqueueResponse{Accepted: accepted, TraceID: traceID})
+		sc.out = resilience.AppendEnqueueResponse(sc.out[:0], resilience.EnqueueResponse{Accepted: accepted, TraceID: traceID})
+		writeBody(w, http.StatusOK, sc.out)
 		return http.StatusOK
 	case errors.Is(err, lcrq.ErrClosed), s.life.State() != resilience.Serving:
 		// Closed, or the wait was cut short by a drain beginning.
@@ -435,8 +485,14 @@ func (s *Server) enqueueStatus(w http.ResponseWriter, r *http.Request, accepted 
 // the very items whose drain recovery the shedder is waiting for.
 func (s *Server) handleDequeue(w http.ResponseWriter, r *http.Request) {
 	s.ctrs.DequeueRequests.Add(1)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	body, ok := s.readBody(w, r, sc)
+	if !ok {
+		return
+	}
 	var req resilience.DequeueRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := resilience.DecodeDequeueRequest(body, &req); err != nil {
 		s.ctrs.BadRequests.Add(1)
 		writeErr(w, http.StatusBadRequest, resilience.ErrTokenBadRequest, err.Error(), 0)
 		return
@@ -454,9 +510,10 @@ func (s *Server) handleDequeue(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := s.reqContext(r, req.WaitMs, false)
-	defer cancel()
-	out := make([]uint64, limit)
+	if cap(sc.vals) < limit {
+		sc.vals = make([]uint64, limit)
+	}
+	out := sc.vals[:limit]
 	// Closed is read before the poll: observing (closed, then empty) in
 	// that order proves the queue is drained for good, as in DequeueWait.
 	closed := s.q.Closed()
@@ -467,6 +524,10 @@ func (s *Server) handleDequeue(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if n == 0 && req.WaitMs > 0 {
+		// Only a long-poll that found the queue empty waits, so only it
+		// needs a context with a deadline.
+		ctx, cancel := s.waitContext(r, req.WaitMs, false)
+		defer cancel()
 		v, waitHits, err := s.q.DequeueWaitTraced(ctx)
 		switch {
 		case err == nil:
@@ -514,7 +575,8 @@ func (s *Server) handleDequeue(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	sc.out = resilience.AppendDequeueResponse(sc.out[:0], resp)
+	writeBody(w, http.StatusOK, sc.out)
 }
 
 // handleHealthz answers load-balancer checks: 200 while serving (shedding
@@ -616,6 +678,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeBody writes a body the wire codec encoded, with the headers
+// writeJSON sets.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 func writeErr(w http.ResponseWriter, status int, token, detail string, retryAfter time.Duration) {
