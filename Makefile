@@ -13,10 +13,11 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lcrqlint: the repo's own go/analysis suite — nine analyzers: the v1
-# per-word checks (align128, atomiconly, padcheck, hotpath, and statsmirror,
-# which checks name registries only; DESIGN.md §10) and the v2 protocol
-# checks (seqlockcheck, singlewriter, publication, chaosreg; DESIGN.md §15).
+# lcrqlint: the repo's own go/analysis suite — eight analyzers: the v1
+# per-word checks (align128, atomiconly, padcheck, hotpath; DESIGN.md §10)
+# and the v2 protocol checks (seqlockcheck, singlewriter, publication, and
+# chaosreg, which also checks that enum-indexed name tables are complete;
+# DESIGN.md §15).
 # Runs standalone over the non-test tree, then again as a go vet -vettool
 # so test files are covered too.
 lint:

@@ -101,7 +101,7 @@ func soakSeconds() time.Duration {
 // a bounded queue with a watchdog, every fault-injection point armed,
 // blocking producers, one consumer that repeatedly stalls mid-traffic while
 // holding a handle (and with it, two rings in its hazard slots), and one
-// handle that is leaked entirely. Throughout, the ring chain must respect its budget.
+// handle that is leaked entirely. Throughout, LiveRings must respect the ring budget.
 // Once producers and consumer have stopped (no enqueue in flight), accepted
 // − consumed must be at most the capacity and equal the item account
 // exactly; while they run, the account may read above the capacity by
@@ -216,7 +216,9 @@ func TestSoak(t *testing.T) {
 		}
 	}()
 
-	// Invariant sampler: the ring budget must hold at every instant.
+	// Invariant sampler: the ring budget gauge must hold at every instant.
+	// It counts reservations, so this pins the gauge; the chain's real
+	// length is measured by internal/core's TestMaxRingsChainSoak.
 	deadline := time.Now().Add(soakSeconds())
 	var ringViolations int
 	for time.Now().Before(deadline) {

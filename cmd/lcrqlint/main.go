@@ -1,7 +1,7 @@
 // Command lcrqlint runs the repository's concurrency-invariant analyzers
 // (internal/analysis): the v1 per-word checks — align128, atomiconly,
-// padcheck, hotpath, statsmirror — and the v2 protocol checks —
-// seqlockcheck, singlewriter, publication, chaosreg.
+// padcheck, hotpath — and the v2 protocol checks — seqlockcheck,
+// singlewriter, publication, chaosreg.
 //
 // It supports two modes:
 //

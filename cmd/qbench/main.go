@@ -56,7 +56,6 @@ func main() {
 		queuesFlag = flag.String("queues", "", "custom sweep: comma-separated queue names")
 		threadsF   = flag.String("threads", "1,2,4,8", "custom sweep: comma-separated thread counts")
 		prefill    = flag.Int("prefill", 0, "custom sweep: items pre-inserted")
-		enqRatio   = flag.Float64("enqratio", 0, "custom sweep: mixed workload enqueue probability (0 = paper's pairs)")
 		metricsOut = flag.String("metrics", "", "also write results as a JSON sidecar to this path")
 		capacity   = flag.Int64("capacity", 0, "governed run: bound the LCRQ family to this many in-flight items (0 = unbounded)")
 		watchdog   = flag.Duration("watchdog", 0, "governed run: sample budget health at this interval and report verdicts (0 = off)")
@@ -125,7 +124,7 @@ func main() {
 			fatal(err)
 		}
 	case *queuesFlag != "":
-		if err := runCustom(*queuesFlag, *threadsF, *prefill, *enqRatio, sc, mode); err != nil {
+		if err := runCustom(*queuesFlag, *threadsF, *prefill, sc, mode); err != nil {
 			fatal(err)
 		}
 	default:
@@ -263,7 +262,7 @@ func runBatch(maxK int, queuesCSV, threadsCSV string, sc harness.Scale, mode out
 	return nil
 }
 
-func runCustom(queuesCSV, threadsCSV string, prefill int, enqRatio float64, sc harness.Scale, mode outputMode) error {
+func runCustom(queuesCSV, threadsCSV string, prefill int, sc harness.Scale, mode outputMode) error {
 	names := strings.Split(queuesCSV, ",")
 	for _, n := range names {
 		found := false
@@ -292,7 +291,6 @@ func runCustom(queuesCSV, threadsCSV string, prefill int, enqRatio float64, sc h
 		Placement: harness.SingleCluster,
 		Prefill:   prefill,
 		MaxDelay:  100,
-		EnqRatio:  enqRatio,
 	}
 	res, err := harness.RunFigure(spec, sc)
 	if err != nil {

@@ -1,34 +1,37 @@
-// Package chaosreg keeps the fault-injection point registry and its call
-// sites honest.
+// Package chaosreg keeps the enum-indexed name registries and the
+// fault-injection call sites honest.
 //
-// The chaos layer's value rests on an implicit contract: every injection
-// point is a named chaos.Point constant, every point has a stable
-// kebab-case name in the registry table (docs, test output, and the
-// schedule-sweep tests key on those names), and no call site smuggles in a
-// raw index that the sweep would never visit. statsmirror already proves
-// the registry covers every enum member; this analyzer adds the other
-// halves of the contract, retiring the runtime registry test:
+// Each registry (chaos pointNames, core ringEventNames, telemetry kindNames
+// and batchKindNames) is a package-level [Sentinel]string literal indexed
+// by a defined integer enum. Docs, test output, exporters and the chaos
+// schedule sweep key on those names, so the analyzer enforces:
 //
-//   - the table annotated //lcrq:points must be an enum-indexed
-//     [Sentinel]string literal whose entries are all non-empty, mutually
-//     distinct, and kebab-case (lowercase words joined by single hyphens —
-//     the shape every existing point name and test matcher assumes);
-//   - every Point-typed argument at a call into the chaos package must be
-//     either a named constant strictly below the sentinel or a non-constant
-//     expression (the schedule sweep's loop variable); a numeric literal,
-//     an ad-hoc Point(n) conversion, or the sentinel itself is an
-//     unregistered point — Fire would consult a probability slot no test
-//     ever sets, or walk off the table entirely.
+//   - completeness, on every such table: each constant of the enum type
+//     below the sentinel must appear as a key with a non-empty name, so a
+//     new enum member without a name does not compile cleanly;
+//   - hygiene, on the table annotated //lcrq:points: it must be such a
+//     literal, and its entries must be mutually distinct and kebab-case
+//     (lowercase words joined by single hyphens — the shape every point
+//     name and test matcher assumes);
+//   - registered call sites: every Point-typed argument at a call into the
+//     chaos package must be either a named constant strictly below the
+//     sentinel or a non-constant expression (the schedule sweep's loop
+//     variable); a numeric literal, an ad-hoc Point(n) conversion, or the
+//     sentinel itself is an unregistered point — Fire would consult a
+//     probability slot no test ever sets, or walk off the table entirely.
 //
-// The registry rule is directive-driven so it applies to any enum name
-// table that opts in; the call-site rule is keyed to the chaos package
-// import path, where the contract lives.
+// An empty literal is a zero-value array (a probability table, a
+// histogram), not a name registry, and draws no completeness diagnostics.
+// The call-site rule is keyed to the chaos package import path, where the
+// contract lives.
 package chaosreg
 
 import (
 	"go/ast"
 	"go/constant"
 	"go/types"
+	"maps"
+	"slices"
 
 	"lcrq/internal/analysis/lintutil"
 	"lcrq/internal/lint/analysis"
@@ -36,7 +39,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "chaosreg",
-	Doc:  "check chaos.Point registry hygiene and that injection call sites use registered points",
+	Doc:  "check that enum-indexed name registries are complete, the chaos.Point registry is well-formed, and injection call sites use registered points",
 	Run:  run,
 }
 
@@ -52,9 +55,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				if !ok {
 					continue
 				}
-				if _, ok := lintutil.VarDirective(gd, vs, "points"); ok {
-					checkRegistry(pass, vs)
-				}
+				_, points := lintutil.VarDirective(gd, vs, "points")
+				checkRegistry(pass, vs, points)
 			}
 		}
 	}
@@ -62,29 +64,34 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// checkRegistry enforces the name-table half on a //lcrq:points var: an
-// enum-indexed string array whose entries are non-empty, unique, and
-// kebab-case. Completeness (every enum member present) is statsmirror's
-// rule; the two overlap deliberately — the annotation documents which
-// table is the injection-point registry.
-func checkRegistry(pass *analysis.Pass, vs *ast.ValueSpec) {
+// checkRegistry checks the enum-indexed name tables of one var spec:
+// completeness on every table, and, when points is set (the //lcrq:points
+// annotation), the table's shape, kebab-case and uniqueness.
+func checkRegistry(pass *analysis.Pass, vs *ast.ValueSpec, points bool) {
 	for i, name := range vs.Names {
-		if i >= len(vs.Values) {
-			pass.Reportf(name.Pos(), "//lcrq:points on %s: registry must be initialized with an enum-indexed array literal", name.Name)
-			continue
+		var lit *ast.CompositeLit
+		if i < len(vs.Values) {
+			lit, _ = vs.Values[i].(*ast.CompositeLit)
 		}
-		lit, ok := vs.Values[i].(*ast.CompositeLit)
-		if !ok {
-			pass.Reportf(name.Pos(), "//lcrq:points on %s: registry must be initialized with an enum-indexed array literal", name.Name)
+		if lit == nil {
+			if points {
+				pass.Reportf(name.Pos(), "//lcrq:points on %s: registry must be initialized with an enum-indexed array literal", name.Name)
+			}
 			continue
 		}
 		enum, sentinel, ok := enumArrayBound(pass, lit)
 		if !ok {
-			pass.Reportf(name.Pos(), "//lcrq:points on %s: want [Sentinel]string with a defined integer-typed constant bound", name.Name)
+			if points {
+				pass.Reportf(name.Pos(), "//lcrq:points on %s: want [Sentinel]string with a defined integer-typed constant bound", name.Name)
+			}
 			continue
+		}
+		if len(lit.Elts) == 0 {
+			continue // a zero-value array, not a name registry
 		}
 
 		constName := enumConstNames(enum, sentinel)
+		present := make(map[int64]bool)
 		seen := make(map[string]string) // name -> first enum member using it
 		next := int64(0)
 		for _, elt := range lit.Elts {
@@ -101,6 +108,7 @@ func checkRegistry(pass *analysis.Pass, vs *ast.ValueSpec) {
 				val = kv.Value
 			}
 			next = idx + 1
+			present[idx] = true
 			member := constName[idx]
 			if member == "" {
 				member = name.Name + "[" + enum.Obj().Name() + "(" + itoa(idx) + ")]"
@@ -111,7 +119,11 @@ func checkRegistry(pass *analysis.Pass, vs *ast.ValueSpec) {
 			}
 			s := constant.StringVal(vtv.Value)
 			if s == "" {
-				continue // statsmirror reports empty entries
+				pass.Reportf(val.Pos(), "registry %s entry for %s is empty", name.Name, member)
+				continue
+			}
+			if !points {
+				continue
 			}
 			if !isKebab(s) {
 				pass.Reportf(val.Pos(),
@@ -124,6 +136,15 @@ func checkRegistry(pass *analysis.Pass, vs *ast.ValueSpec) {
 					name.Name, s, member, prev)
 			} else {
 				seen[s] = member
+			}
+		}
+
+		// Every constant of the enum type below the sentinel must appear.
+		for _, v := range slices.Sorted(maps.Keys(constName)) {
+			if !present[v] {
+				pass.Reportf(lit.Pos(),
+					"registry %s has no entry for %s (= %d); every %s below the array bound must be named",
+					name.Name, constName[v], v, enum.Obj().Name())
 			}
 		}
 	}
@@ -230,7 +251,7 @@ func enumArrayBound(pass *analysis.Pass, lit *ast.CompositeLit) (*types.Named, i
 }
 
 // enumConstNames maps enum values below the sentinel to their constant
-// names, for diagnostics.
+// names.
 func enumConstNames(enum *types.Named, sentinel int64) map[int64]string {
 	names := make(map[int64]string)
 	scope := enum.Obj().Pkg().Scope()

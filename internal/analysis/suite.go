@@ -4,12 +4,13 @@
 // rationale, and the //lcrq: annotation syntax the analyzers consume.
 //
 // The suite has two generations. v1 (align128, atomiconly, padcheck,
-// hotpath, statsmirror) checks per-word invariants: alignment of CAS2
-// cells, atomic-only access to shared words, false-sharing pads, registry
-// completeness. v2 (seqlockcheck, singlewriter, publication, chaosreg)
-// checks multi-statement protocols: the seqlock version-word bracket, the
+// hotpath) checks per-word invariants: alignment of CAS2 cells,
+// atomic-only access to shared words, false-sharing pads, hot-path
+// hygiene. v2 (seqlockcheck, singlewriter, publication, chaosreg) checks
+// multi-statement protocols: the seqlock version-word bracket, the
 // single-writer ownership discipline, construct-then-publish windows, and
-// chaos injection-point registry hygiene.
+// the name registries — complete enum-indexed name tables and chaos
+// injection points named and used as registered.
 //
 // The analyzers are written against the (vendored) golang.org/x/tools
 // go/analysis API — see internal/lint/analysis — and run both standalone
@@ -25,7 +26,6 @@ import (
 	"lcrq/internal/analysis/publication"
 	"lcrq/internal/analysis/seqlockcheck"
 	"lcrq/internal/analysis/singlewriter"
-	"lcrq/internal/analysis/statsmirror"
 	"lcrq/internal/lint/analysis"
 )
 
@@ -36,7 +36,6 @@ func All() []*analysis.Analyzer {
 		atomiconly.Analyzer,
 		padcheck.Analyzer,
 		hotpath.Analyzer,
-		statsmirror.Analyzer,
 		seqlockcheck.Analyzer,
 		singlewriter.Analyzer,
 		publication.Analyzer,

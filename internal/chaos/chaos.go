@@ -107,8 +107,8 @@ const (
 
 // pointNames is the injection-point registry: the stable kebab-case names
 // docs, test output, and the schedule sweep key on. chaosreg checks the
-// names (unique, kebab-case) and statsmirror the completeness; the one
-// runtime backstop is TestPointRegistryBackstop.
+// names (complete, unique, kebab-case); the one runtime backstop is
+// TestPointRegistryBackstop.
 //
 //lcrq:points
 var pointNames = [NumPoints]string{

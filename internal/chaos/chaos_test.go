@@ -5,9 +5,9 @@ import "testing"
 // TestPointRegistryBackstop is the one runtime backstop for the
 // injection-point registry. The full invariant — every point named, names
 // non-empty, unique, kebab-case, no call site off the registry — is
-// enforced at lint time by the chaosreg and statsmirror analyzers (the
-// point-by-point name table this test used to duplicate now lives only in
-// chaos.go); what remains here is the runtime behavior lint cannot see:
+// enforced at lint time by the chaosreg analyzer (the point-by-point name
+// table this test used to duplicate now lives only in chaos.go); what
+// remains here is the runtime behavior lint cannot see:
 // String's bounds check and the Points() sweep length.
 func TestPointRegistryBackstop(t *testing.T) {
 	for _, p := range Points() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -153,6 +154,264 @@ func TestMaxRingsBoundConcurrent(t *testing.T) {
 	cwg.Wait()
 	if n := violations.Load(); n > 0 {
 		t.Fatalf("ring budget violated %d times (LiveRings > %d)", n, maxRings)
+	}
+}
+
+// appendParker is a Tap that parks the first appender it sees inside its
+// EvRingAppend notification, right after that appender's publication CAS,
+// until release is closed.
+type appendParker struct {
+	armed   atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (p *appendParker) RingEvent(ev RingEvent) {
+	if ev == EvRingAppend && p.armed.CompareAndSwap(true, false) {
+		close(p.parked)
+		<-p.release
+	}
+}
+
+// appendPaths are the two ways an enqueue appends a ring: the single-value
+// loop and the spill of a batch whose tail ring closes under it.
+var appendPaths = []struct {
+	name    string
+	enqueue func(q *LCRQ, h *Handle, v uint64) EnqStatus
+}{
+	{"enqueue", (*LCRQ).EnqueueStatus},
+	{"batch-spill", func(q *LCRQ, h *Handle, v uint64) EnqStatus {
+		_, st := q.EnqueueBatch(h, []uint64{v})
+		return st
+	}},
+}
+
+// TestMaxRingsAppendInFlight pins the ring budget against an appender
+// parked after publishing its ring, in its EvRingAppend notification: a
+// second handle swings the tail to that ring, finds it closed (a forced
+// ring-close) and tries to append again. The parked append already holds a
+// unit of the budget, so the second append must be refused and the chain
+// must never exceed MaxRings. The test cannot park an appender between its
+// publication CAS and its count, so it does not cover a count taken after
+// the CAS but before the notification; TestMaxRingsChainSoak measures the
+// chain for that.
+func TestMaxRingsAppendInFlight(t *testing.T) {
+	for _, path := range appendPaths {
+		t.Run(path.name, func(t *testing.T) {
+			const maxRings = 2
+			tap := &appendParker{parked: make(chan struct{}), release: make(chan struct{})}
+			tap.armed.Store(true)
+			q := NewLCRQ(Config{RingOrder: 1, MaxRings: maxRings, Tap: tap})
+			ha, hb := q.NewHandle(), q.NewHandle()
+			defer ha.Release()
+			defer hb.Release()
+			first := q.tail.Load()
+			first.closeRing(hb, EvRingClose)
+
+			stA := make(chan EnqStatus, 1)
+			go func() { stA <- path.enqueue(q, ha, 1) }()
+			<-tap.parked // A has published its ring and is parked in the tap
+
+			appended := first.next.Load()
+			if appended == nil {
+				t.Fatal("parked appender has not published its ring")
+			}
+			appended.closeRing(hb, EvRingClose)
+			stB := path.enqueue(q, hb, 2)
+			chain := 0
+			for r := q.head.Load(); r != nil; r = r.next.Load() {
+				chain++
+			}
+			close(tap.release)
+			if st := <-stA; st != EnqOK {
+				t.Fatalf("parked append: status %v, want EnqOK", st)
+			}
+			if stB != EnqFull {
+				t.Fatalf("append past the budget while another was in flight: status %v, want EnqFull", stB)
+			}
+			if chain > maxRings {
+				t.Fatalf("chain length %d exceeds budget %d", chain, maxRings)
+			}
+			if lr := q.LiveRings(); lr != maxRings {
+				t.Fatalf("LiveRings = %d, want %d", lr, maxRings)
+			}
+		})
+	}
+}
+
+// rivalAppender is a Tap that, on the first ring close it sees, runs a
+// rival append to completion of its publication CAS before letting the
+// closer go on: the rival parks in its EvRingAppend notification until
+// release is closed.
+type rivalAppender struct {
+	armed   atomic.Bool
+	parking atomic.Bool
+	rival   func()
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (r *rivalAppender) RingEvent(ev RingEvent) {
+	switch {
+	case ev == EvRingClose && r.armed.CompareAndSwap(true, false):
+		r.parking.Store(true)
+		go r.rival()
+		select {
+		case <-r.parked:
+		case <-time.After(5 * time.Second):
+		}
+	case ev == EvRingAppend && r.parking.CompareAndSwap(true, false):
+		close(r.parked)
+		<-r.release
+	}
+}
+
+// TestMaxRingsRefusalHelpsRivalRing pins the refusal side of the ring
+// budget. Handle B closes the full tail ring; before B reaches the budget
+// gate, rival A appends the last ring the budget allows and parks right
+// after publishing it. B then finds the budget spent, but A's open ring is
+// linked after the one B saw closed, so B must help swing the tail and
+// land its item there, not report the queue full.
+func TestMaxRingsRefusalHelpsRivalRing(t *testing.T) {
+	for _, path := range appendPaths {
+		t.Run(path.name, func(t *testing.T) {
+			const maxRings = 2
+			tap := &rivalAppender{parked: make(chan struct{}), release: make(chan struct{})}
+			q := NewLCRQ(Config{RingOrder: 1, MaxRings: maxRings, Tap: tap})
+			ha, hb := q.NewHandle(), q.NewHandle()
+			defer ha.Release()
+			defer hb.Release()
+			for v := uint64(10); v < 12; v++ { // fill the first ring (R = 2)
+				if st := q.EnqueueStatus(hb, v); st != EnqOK {
+					t.Fatalf("fill %d: status %v", v, st)
+				}
+			}
+			stA := make(chan EnqStatus, 1)
+			tap.rival = func() { stA <- path.enqueue(q, ha, 1) }
+			tap.armed.Store(true)
+
+			stB := path.enqueue(q, hb, 2)
+			close(tap.release)
+			if st := <-stA; st != EnqOK {
+				t.Fatalf("rival append: status %v, want EnqOK", st)
+			}
+			if stB != EnqOK {
+				t.Fatalf("enqueue beside a rival's just-linked ring: status %v, want EnqOK", stB)
+			}
+			if lr := q.LiveRings(); lr != maxRings {
+				t.Fatalf("LiveRings = %d, want %d", lr, maxRings)
+			}
+			var got []uint64
+			for v, ok := q.Dequeue(hb); ok; v, ok = q.Dequeue(hb) {
+				got = append(got, v)
+			}
+			if want := []uint64{10, 11, 1, 2}; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("drained %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestMaxRingsChainSoak measures the real length of the ring chain, not
+// the budget counter, while producers append against a small ring budget,
+// a consumer unlinks drained rings and a closer keeps closing the tail ring
+// (so appenders often find a just-linked ring closed). The sampler walks
+// head→next and counts a walk only if head did not move meanwhile; rings
+// are not recycled, so the walked rings were then all linked at once. No
+// counted walk may exceed MaxRings.
+func TestMaxRingsChainSoak(t *testing.T) {
+	const (
+		maxRings  = 3
+		producers = 3
+	)
+	q := NewLCRQ(Config{RingOrder: 1, MaxRings: maxRings, NoRecycle: true})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var accepted, refused atomic.Int64
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			h := q.NewHandle()
+			defer h.Release()
+			for i := 0; ; i++ {
+				var st EnqStatus
+				if i%2 == 0 {
+					st = q.EnqueueStatus(h, uint64(i)+1)
+				} else {
+					_, st = q.EnqueueBatch(h, []uint64{uint64(i) + 1, uint64(i) + 2})
+				}
+				if st == EnqFull {
+					refused.Add(1)
+					runtime.Gosched()
+				} else {
+					accepted.Add(1)
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}(p)
+	}
+	wg.Add(2)
+	go func() { // consumer
+		defer wg.Done()
+		h := q.NewHandle()
+		defer h.Release()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, ok := q.Dequeue(h); !ok {
+				runtime.Gosched()
+			}
+		}
+	}()
+	go func() { // closer
+		defer wg.Done()
+		h := q.NewHandle()
+		defer h.Release()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			q.tail.Load().closeRing(h, EvRingClose)
+			if i%4 == 0 {
+				runtime.Gosched()
+			}
+		}
+	}()
+
+	deadline := time.Now().Add(300 * time.Millisecond)
+	walks, longest := 0, 0
+	for time.Now().Before(deadline) {
+		head := q.head.Load()
+		n := 0
+		for r := head; r != nil; r = r.next.Load() {
+			n++
+		}
+		if q.head.Load() != head {
+			continue
+		}
+		walks++
+		if n > longest {
+			longest = n
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if longest > maxRings {
+		t.Fatalf("ring chain reached %d rings, budget %d", longest, maxRings)
+	}
+	if walks == 0 || accepted.Load() == 0 || refused.Load() == 0 {
+		t.Fatalf("soak did not exercise the budget: %d walks, %d accepted, %d refused",
+			walks, accepted.Load(), refused.Load())
 	}
 }
 

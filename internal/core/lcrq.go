@@ -170,14 +170,88 @@ func (q *LCRQ) newRing(h *Handle, v uint64) (r *CRQ, recycled bool) {
 	return r, false
 }
 
-// releaseRing returns a ring that was never published (a lost append race)
-// straight to the pool.
+// releaseRing returns a ring that was never published (a refused or lost
+// append) straight to the pool.
 func (q *LCRQ) releaseRing(r *CRQ) {
 	if q.cfg.NoRecycle {
 		return
 	}
 	q.recPuts.Add(1)
 	q.pool.Put(r)
+}
+
+// appendRing links a fresh ring seeded with v after crq, the tail ring that
+// has just refused v as closed, and reports whether it did. If it did not,
+// full reports a spent ring budget; otherwise the caller retries (it lost
+// the publication race, or another appender linked a ring after crq).
+//
+// Ring budget: the append reserves its unit of rings after newRing and
+// before the publication CAS, and refunds it if that CAS loses, so rings
+// counts every linked ring plus the appends between reservation and
+// publication and never exceeds MaxRings: an appender that finds a
+// just-published ring closed sees that ring already counted. A refusal
+// re-reads crq.next, and if a rival has linked a ring there meanwhile the
+// caller helps it and enqueues into it instead of reporting full, so an
+// append is refused early only in the few instructions between a rival's
+// reservation and its CAS.
+func (q *LCRQ) appendRing(h *Handle, crq *CRQ, v uint64) (linked, full bool) {
+	max := int64(q.cfg.MaxRings)
+	if max > 0 && q.rings.Load() >= max {
+		return false, crq.next.Load() == nil // spent: refuse before allocating
+	}
+	newcrq, recycled := q.newRing(h, v)
+	if !q.reserveRing(max) {
+		q.releaseRing(newcrq)
+		return false, crq.next.Load() == nil
+	}
+	h.C.CAS++
+	if !crq.next.CompareAndSwap(nil, newcrq) {
+		h.C.CASFail++
+		q.rings.Add(-1) // refund: the ring was never visible
+		q.releaseRing(newcrq)
+		return false, false
+	}
+	q.tap(EvRingAppend)
+	if recycled {
+		q.tap(EvRingRecycle)
+	}
+	chaos.Delay(chaos.Handoff)
+	h.C.CAS++
+	if !q.tail.CompareAndSwap(crq, newcrq) {
+		h.C.CASFail++
+	}
+	h.C.Appends++
+	h.C.Enqueues++
+	if h.traceArmed {
+		h.completeEnqTrace() // the seeded value carried the stamp
+	}
+	// A Close racing with this append may have walked the chain before
+	// newcrq was visible. Re-checking after the publication CAS closes the
+	// race: if the flag is now set, either Close saw newcrq and closed it,
+	// or we close it ourselves here. The item just seeded stays and will be
+	// drained.
+	if q.closed.Load() {
+		newcrq.closeRing(h, EvRingClose)
+	}
+	return true, false
+}
+
+// reserveRing takes one unit of a ring budget of max (unbounded when
+// max <= 0), or reports false when max units are already taken.
+func (q *LCRQ) reserveRing(max int64) bool {
+	if max <= 0 {
+		q.rings.Add(1)
+		return true
+	}
+	for {
+		n := q.rings.Load()
+		if n >= max {
+			return false
+		}
+		if q.rings.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
 }
 
 // retireRing schedules an unlinked ring for reuse once the reclamation
@@ -205,7 +279,8 @@ func (q *LCRQ) retireRing(h *Handle, r *CRQ) {
 }
 
 // LiveRings returns the number of ring segments currently linked in the
-// queue's list (a just-retired ring is counted out as soon as it is
+// queue's list plus the appends in flight, never above MaxRings when a
+// ring budget is set (a just-retired ring is counted out as soon as it is
 // unlinked, before reclamation completes).
 func (q *LCRQ) LiveRings() int64 { return q.rings.Load() }
 
@@ -437,43 +512,21 @@ func (q *LCRQ) enqueueBatch(h *Handle, vs []uint64) (int, EnqStatus) {
 		if q.closed.Load() {
 			return accepted, EnqClosed
 		}
-		if max := q.cfg.MaxRings; max > 0 && q.rings.Load() >= int64(max) {
-			return accepted, EnqFull
-		}
 		// Spill: append a new ring seeded with the batch's next value; the
 		// rest of the batch lands there on the following iteration.
-		newcrq, recycled := q.newRing(h, vs[0])
-		h.C.CAS++
-		if crq.next.CompareAndSwap(nil, newcrq) {
-			q.rings.Add(1)
-			q.tap(EvRingAppend)
-			if recycled {
-				q.tap(EvRingRecycle)
-			}
-			chaos.Delay(chaos.Handoff)
-			h.C.CAS++
-			if !q.tail.CompareAndSwap(crq, newcrq) {
-				h.C.CASFail++
-			}
-			h.C.Appends++
-			h.C.Enqueues++
-			h.C.BatchSpill++
-			if h.traceArmed {
-				h.completeEnqTrace() // the seeded value carried the stamp
-			}
-			accepted++
-			vs = vs[1:]
-			// Same post-publication close re-check as enqueue.
-			if q.closed.Load() {
-				newcrq.closeRing(h, EvRingClose)
-			}
-			if len(vs) == 0 {
-				return accepted, EnqOK
-			}
+		linked, full := q.appendRing(h, crq, vs[0])
+		if full {
+			return accepted, EnqFull
+		}
+		if !linked {
 			continue
 		}
-		h.C.CASFail++
-		q.releaseRing(newcrq) // lost the race; ring was never visible
+		h.C.BatchSpill++
+		accepted++
+		vs = vs[1:]
+		if len(vs) == 0 {
+			return accepted, EnqOK
+		}
 	}
 }
 
@@ -539,8 +592,8 @@ func (q *LCRQ) OrphanRecoveries() uint64 { return q.orphans.Load() }
 
 // enqueue is the core protocol loop of Figure 5, extended with the queue
 // close check (PR 1) and the ring budget gate (bounded mode). The
-// hotpath annotation tolerates the slow-path calls (newRing, taps) —
-// callees are checked under their own annotations — while pinning the
+// hotpath annotation tolerates the slow-path call (appendRing) — callees
+// are checked under their own annotations — while pinning the
 // loop itself allocation- and blocking-free.
 //
 //lcrq:hotpath
@@ -569,47 +622,14 @@ func (q *LCRQ) enqueue(h *Handle, v uint64) EnqStatus {
 		if q.closed.Load() {
 			return EnqClosed
 		}
-		// Ring budget gate: refuse to link a segment past MaxRings. The
-		// check sits in the same loop iteration as the publication CAS
-		// below, and appenders serialize on that CAS (only one wins per
-		// iteration, each raising rings by exactly one), so rings can never
-		// exceed the budget: the winner at rings == MaxRings-1 brings the
-		// chain to the budget, and every contender re-running this loop
-		// afterwards is turned away here before allocating.
-		if max := q.cfg.MaxRings; max > 0 && q.rings.Load() >= int64(max) {
+		// Append a new CRQ containing v (159-166), within the ring budget.
+		linked, full := q.appendRing(h, crq, v)
+		if full {
 			return EnqFull
 		}
-		// Append a new CRQ containing v (159-166).
-		newcrq, recycled := q.newRing(h, v)
-		h.C.CAS++
-		if crq.next.CompareAndSwap(nil, newcrq) {
-			q.rings.Add(1)
-			q.tap(EvRingAppend)
-			if recycled {
-				q.tap(EvRingRecycle)
-			}
-			chaos.Delay(chaos.Handoff)
-			h.C.CAS++
-			if !q.tail.CompareAndSwap(crq, newcrq) {
-				h.C.CASFail++
-			}
-			h.C.Appends++
-			h.C.Enqueues++
-			if h.traceArmed {
-				h.completeEnqTrace() // the seeded value carried the stamp
-			}
-			// A Close racing with this append may have walked the chain
-			// before newcrq was visible. Re-checking after the publication
-			// CAS closes the race: if the flag is now set, either Close saw
-			// newcrq and closed it, or we close it ourselves here. The item
-			// just seeded stays and will be drained.
-			if q.closed.Load() {
-				newcrq.closeRing(h, EvRingClose)
-			}
+		if linked {
 			return EnqOK
 		}
-		h.C.CASFail++
-		q.releaseRing(newcrq) // lost the race; ring was never visible
 	}
 }
 

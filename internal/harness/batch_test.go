@@ -36,15 +36,9 @@ func TestBatchWorkloadVerify(t *testing.T) {
 	}
 }
 
-// TestBatchWorkloadValidation pins the rejection rules: batch mode is
-// incompatible with the mixed EnqRatio workload, and queues without batch
+// TestBatchWorkloadValidation pins the rejection rule: queues without batch
 // handles are refused with a diagnostic naming the capability.
 func TestBatchWorkloadValidation(t *testing.T) {
-	if _, err := Run(Workload{
-		Queue: "lcrq", Threads: 1, Pairs: 10, Batch: 4, EnqRatio: 0.5,
-	}); err == nil {
-		t.Fatal("Batch with EnqRatio accepted")
-	}
 	_, err := Run(Workload{Queue: "ms-queue", Threads: 1, Pairs: 10, Batch: 4})
 	if err == nil {
 		t.Fatal("batch workload on a queue without batch support accepted")

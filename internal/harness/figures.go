@@ -54,9 +54,6 @@ type FigureSpec struct {
 	Prefill   int
 	MaxDelay  int
 	RingOrder int
-	// EnqRatio switches the figure to the mixed-workload extension (see
-	// Workload.EnqRatio); the paper's figures leave it 0.
-	EnqRatio float64
 }
 
 // Figure6aThreads is the paper's single-processor thread axis (20 hardware
@@ -179,7 +176,6 @@ func RunFigure(spec FigureSpec, sc Scale) (*FigureResult, error) {
 				RingOrder: pick(sc.RingOrder, spec.RingOrder),
 				Runs:      sc.runs(),
 				Pin:       sc.Pin,
-				EnqRatio:  spec.EnqRatio,
 				Capacity:  sc.Capacity,
 				Watchdog:  sc.Watchdog,
 			}

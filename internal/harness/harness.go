@@ -67,13 +67,6 @@ type Workload struct {
 	// LatencySample, when > 0, samples the latency of every k-th operation
 	// into the result histogram.
 	LatencySample int
-	// EnqRatio, when nonzero, switches from the paper's enqueue/dequeue
-	// pairs to a mixed workload (an extension beyond the paper's
-	// methodology): each of the 2×Pairs operations is an enqueue with this
-	// probability, otherwise a dequeue. 0.5 approximates the pairs
-	// workload without its strict alternation; 0.7 grows the queue; 0.3
-	// drains against prefill.
-	EnqRatio float64
 	// Verify drains the queue after each run and checks item conservation:
 	// prefill + enqueues must equal successful dequeues + leftovers. A
 	// violation fails the run with an error. Costs one full drain per run.
@@ -131,9 +124,6 @@ func Run(w Workload) (*Result, error) {
 	if w.Capacity > 0 && w.Prefill > int(w.Capacity) {
 		return nil, fmt.Errorf("harness: prefill %d exceeds capacity %d (producers would block forever)",
 			w.Prefill, w.Capacity)
-	}
-	if w.Batch > 1 && w.EnqRatio > 0 {
-		return nil, fmt.Errorf("harness: batch and enq-ratio workloads are mutually exclusive")
 	}
 	if w.MaxDelay > 0 {
 		spinCalibrate.Do(calibrateSpin) // keep calibration out of the measured loop
@@ -357,13 +347,9 @@ func verifyConservation(q queues.Queue, w Workload, c *instrument.Counters) erro
 }
 
 // workerLoop is the measured inner loop: Pairs × (enqueue, delay, dequeue,
-// delay), with optional latency sampling; or a randomized mix when
-// EnqRatio is set.
+// delay), with optional latency sampling; or the batched pairs of
+// batchLoop when Batch is set.
 func workerLoop(h queues.Handle, w Workload, rng *xrand.State, lh *hist.H, t int) {
-	if w.EnqRatio > 0 {
-		mixedLoop(h, w, rng, lh, t)
-		return
-	}
 	if w.Batch > 1 {
 		if bh, ok := h.(queues.BatchHandle); ok {
 			batchLoop(bh, w, rng, t)
@@ -423,38 +409,6 @@ func batchLoop(bh queues.BatchHandle, w Workload, rng *xrand.State, t int) {
 			spinWait(int(rng.Uintn(uint64(w.MaxDelay) + 1)))
 		}
 		bh.DequeueBatch(out[:n])
-		if w.MaxDelay > 0 {
-			spinWait(int(rng.Uintn(uint64(w.MaxDelay) + 1)))
-		}
-	}
-}
-
-// mixedLoop performs 2×Pairs operations, each an enqueue with probability
-// EnqRatio. The threshold is precomputed against the RNG's 64-bit output.
-func mixedLoop(h queues.Handle, w Workload, rng *xrand.State, lh *hist.H, t int) {
-	ratio := w.EnqRatio
-	if ratio > 1 {
-		ratio = 1
-	}
-	threshold := uint64(ratio * float64(^uint64(0)))
-	sample := w.LatencySample
-	seq := 0
-	for op := 0; op < 2*w.Pairs; op++ {
-		enq := rng.Uint64() <= threshold
-		timed := lh != nil && sample > 0 && op%sample == 0
-		var st time.Time
-		if timed {
-			st = time.Now()
-		}
-		if enq {
-			seq++
-			h.Enqueue(uint64(t)<<32 | uint64(seq) | 1<<62)
-		} else {
-			h.Dequeue()
-		}
-		if timed {
-			lh.Record(time.Since(st).Nanoseconds())
-		}
 		if w.MaxDelay > 0 {
 			spinWait(int(rng.Uintn(uint64(w.MaxDelay) + 1)))
 		}

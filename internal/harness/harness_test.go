@@ -32,8 +32,7 @@ func TestRunBasic(t *testing.T) {
 
 func TestRunEveryQueueSmoke(t *testing.T) {
 	for _, name := range []string{"lcrq", "lcrq-cas", "lcrq+h", "cc-queue",
-		"h-queue", "fc-queue", "ms-queue", "twolock", "channel", "kp-queue",
-		"sim-queue"} {
+		"h-queue", "fc-queue", "ms-queue", "twolock", "channel"} {
 		t.Run(name, func(t *testing.T) {
 			r, err := Run(Workload{
 				Queue: name, Threads: 4, Pairs: 200, MaxDelay: 10,
@@ -252,8 +251,7 @@ func TestVerifyConservation(t *testing.T) {
 	// Every registered queue must conserve items under the pairs workload
 	// with prefill; this doubles as a deep end-to-end correctness check of
 	// the harness accounting itself.
-	for _, name := range []string{"lcrq", "cc-queue", "fc-queue", "ms-queue",
-		"sim-queue", "kp-queue"} {
+	for _, name := range []string{"lcrq", "cc-queue", "fc-queue", "ms-queue"} {
 		t.Run(name, func(t *testing.T) {
 			_, err := Run(Workload{
 				Queue: name, Threads: 4, Pairs: 1000, Prefill: 333,
@@ -263,52 +261,6 @@ func TestVerifyConservation(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-func TestVerifyConservationMixed(t *testing.T) {
-	_, err := Run(Workload{
-		Queue: "lcrq", Threads: 3, Pairs: 2000, Prefill: 100,
-		Placement: SingleCluster, Runs: 1, Verify: true, EnqRatio: 0.6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMixedWorkload(t *testing.T) {
-	r, err := Run(Workload{
-		Queue: "lcrq", Threads: 2, Pairs: 2000, Prefill: 500,
-		Placement: SingleCluster, Runs: 1, EnqRatio: 0.3, RingOrder: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := r.Counters
-	if c.Ops() != 2*2*2000 {
-		t.Fatalf("ops = %d, want %d", c.Ops(), 2*2*2000)
-	}
-	// A 30% enqueue mix must be dequeue-heavy.
-	if c.Enqueues >= c.Dequeues {
-		t.Fatalf("enq=%d deq=%d: not dequeue-heavy", c.Enqueues, c.Dequeues)
-	}
-	// Rough binomial check: enqueue fraction within 5 points of 0.3.
-	frac := float64(c.Enqueues) / float64(c.Ops())
-	if frac < 0.25 || frac > 0.35 {
-		t.Fatalf("enqueue fraction = %.3f, want ≈0.30", frac)
-	}
-}
-
-func TestMixedWorkloadLatencySampling(t *testing.T) {
-	r, err := Run(Workload{
-		Queue: "lcrq", Threads: 2, Pairs: 1000, Placement: SingleCluster,
-		Runs: 1, EnqRatio: 0.5, LatencySample: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Hist == nil || r.Hist.Count() == 0 {
-		t.Fatal("no latency samples in mixed mode")
 	}
 }
 

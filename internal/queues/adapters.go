@@ -7,9 +7,7 @@ import (
 	"lcrq/internal/core"
 	"lcrq/internal/fc"
 	"lcrq/internal/instrument"
-	"lcrq/internal/kpqueue"
 	"lcrq/internal/msqueue"
-	"lcrq/internal/simqueue"
 )
 
 // Registry names follow the paper's figures: "lcrq", "lcrq-cas", "lcrq+h",
@@ -43,17 +41,6 @@ func init() {
 	})
 	Register("fc-queue", func(cfg Config) Queue { return &fcAdapter{q: fc.New()} })
 	Register("channel", func(cfg Config) Queue { return newChanAdapter(cfg) })
-	// kp-queue is an extension beyond the paper's evaluated set: the
-	// wait-free MS-queue variant its related-work section cites.
-	Register("kp-queue", func(cfg Config) Queue {
-		return &kpAdapter{q: kpqueue.New(2*cfg.Threads + 8)}
-	})
-	// sim-queue is the P-Sim based wait-free combining queue the paper
-	// discusses in §2/§5. Limited to 64 handles per queue instance by its
-	// toggle bitmask, so it cannot run the oversubscribed figures.
-	Register("sim-queue", func(cfg Config) Queue {
-		return &simAdapter{q: simqueue.New()}
-	})
 }
 
 // combinerBound follows Fatourou and Kallimanis: a combiner applies at most
@@ -286,41 +273,3 @@ func (h *chanHandle) Dequeue() (uint64, bool) {
 }
 func (h *chanHandle) Counters() *instrument.Counters { return h.c }
 func (h *chanHandle) Release()                       {}
-
-// ---- Kogan-Petrank wait-free queue (extension) ----
-
-type kpAdapter struct{ q *kpqueue.Queue }
-
-func (a *kpAdapter) Name() string { return "kp-queue" }
-func (a *kpAdapter) NewHandle(worker, cluster int) Handle {
-	return &kpHandle{q: a.q, h: a.q.NewHandle()}
-}
-
-type kpHandle struct {
-	q *kpqueue.Queue
-	h *kpqueue.Handle
-}
-
-func (h *kpHandle) Enqueue(v uint64)               { h.q.Enqueue(h.h, v) }
-func (h *kpHandle) Dequeue() (uint64, bool)        { return h.q.Dequeue(h.h) }
-func (h *kpHandle) Counters() *instrument.Counters { return &h.h.C }
-func (h *kpHandle) Release()                       {}
-
-// ---- SimQueue (extension) ----
-
-type simAdapter struct{ q *simqueue.Queue }
-
-func (a *simAdapter) Name() string { return "sim-queue" }
-func (a *simAdapter) NewHandle(worker, cluster int) Handle {
-	return &simHandle{q: a.q, h: a.q.NewHandle()}
-}
-
-type simHandle struct {
-	q *simqueue.Queue
-	h *simqueue.Handle
-}
-
-func (h *simHandle) Enqueue(v uint64)               { h.q.Enqueue(h.h, v) }
-func (h *simHandle) Dequeue() (uint64, bool)        { return h.q.Dequeue(h.h) }
-func (h *simHandle) Counters() *instrument.Counters { return &h.h.C }
-func (h *simHandle) Release()                       {}

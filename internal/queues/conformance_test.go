@@ -17,9 +17,8 @@ func testConfig() Config {
 // TestRegistryComplete pins the set of queue names the harness and docs
 // rely on.
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"cc-queue", "channel", "fc-queue", "h-queue", "kp-queue",
-		"lcrq", "lcrq+h", "lcrq-cas", "ms-queue", "scq", "sim-queue",
-		"twolock"}
+	want := []string{"cc-queue", "channel", "fc-queue", "h-queue", "lcrq",
+		"lcrq+h", "lcrq-cas", "ms-queue", "scq", "twolock"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)

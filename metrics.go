@@ -61,7 +61,8 @@ type Metrics struct {
 	Depth int64
 
 	// LiveRings is the number of ring segments currently linked in the
-	// queue's list; RecyclerRings approximates the recycler pool's
+	// queue's list plus appends in flight, never above MaxRings;
+	// RecyclerRings approximates the recycler pool's
 	// population (an upper bound — the GC may drain pooled rings).
 	LiveRings     int64
 	RecyclerRings int64
