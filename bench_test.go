@@ -201,11 +201,12 @@ func coreBenchParallel(b *testing.B, cfg core.Config) {
 	})
 }
 
-// BenchmarkAblationPadding compares cache-line-padded ring cells (the
-// paper's layout) against densely packed cells.
+// BenchmarkAblationPadding compares the default cache-remapped ring cells,
+// where consecutive indices sit in different false-sharing ranges, against
+// adjacent cells in index order (Config.NoPadding). Both are dense.
 func BenchmarkAblationPadding(b *testing.B) {
-	b.Run("padded", func(b *testing.B) { coreBenchParallel(b, core.Config{}) })
-	b.Run("packed", func(b *testing.B) { coreBenchParallel(b, core.Config{NoPadding: true}) })
+	b.Run("remapped", func(b *testing.B) { coreBenchParallel(b, core.Config{}) })
+	b.Run("adjacent", func(b *testing.B) { coreBenchParallel(b, core.Config{NoPadding: true}) })
 }
 
 // BenchmarkAblationRecycle compares hazard-pointer ring recycling against

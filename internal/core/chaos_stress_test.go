@@ -16,8 +16,10 @@ import (
 // chaosCampaign records genuinely concurrent histories on an LCRQ built
 // from cfg and verifies each with the exhaustive linearizability checker.
 // Histories are kept tiny (the checker is exponential); the value comes
-// from the number of distinct fault-perturbed interleavings.
-func chaosCampaign(t *testing.T, cfg Config, rounds, threads, opsEach int, seed uint64) {
+// from the number of distinct fault-perturbed interleavings. It returns how
+// many laps the furthest round's last ring went round (its tail index over
+// R), so a campaign can show that its indices wrapped.
+func chaosCampaign(t *testing.T, cfg Config, rounds, threads, opsEach int, seed uint64) (laps uint64) {
 	t.Helper()
 	for round := 0; round < rounds; round++ {
 		q := NewLCRQ(cfg)
@@ -59,7 +61,10 @@ func chaosCampaign(t *testing.T, cfg Config, rounds, threads, opsEach int, seed 
 		if !linearize.Check(hist) {
 			t.Fatalf("round %d: non-linearizable history under chaos:\n%v", round, hist)
 		}
+		last := q.tail.Load()
+		laps = max(laps, (last.tail.Load()&^closedBit)/uint64(last.Size()))
 	}
+	return laps
 }
 
 // pointScenario describes how to make one injection point reachable: the
@@ -131,6 +136,30 @@ func TestLinearizableUnderCombinedFaults(t *testing.T) {
 				t.Fatalf("only %d injection points fired in the combined scenario", hits)
 			}
 		})
+	}
+}
+
+// TestLinearizableRemappedRing runs the campaign on the smallest ring the
+// cache remap rearranges (R = 16 in the default layout, where consecutive
+// indices sit 8 cells apart): every other campaign uses RingOrder 1, which
+// the remap leaves as the identity. With half the operations dequeues the
+// ring stays short and open, so its indices run past the first lap onto
+// reused remapped cells while CAS2 failures and delays perturb the
+// interleaving.
+func TestLinearizableRemappedRing(t *testing.T) {
+	chaos.Reset()
+	defer chaos.Reset()
+	chaos.Set(chaos.EnqCAS2Fail, 0.2)
+	chaos.Set(chaos.DeqCAS2Fail, 0.2)
+	chaos.Set(chaos.DelayEnq, 0.3)
+	chaos.Set(chaos.DelayDeq, 0.3)
+	if laps := chaosCampaign(t, Config{RingOrder: 4}, 80, 3, 8, 404); laps == 0 {
+		t.Fatal("no round's ring got past its first lap; the campaign never reused a remapped cell")
+	}
+	for _, p := range []chaos.Point{chaos.EnqCAS2Fail, chaos.DeqCAS2Fail} {
+		if chaos.Fired(p) == 0 {
+			t.Fatalf("injection point %v never fired; the campaign is vacuous", p)
+		}
 	}
 }
 

@@ -78,10 +78,15 @@ type Config struct {
 	// single processor. 0 selects DefaultRingOrder.
 	RingOrder int
 
-	// Padded pads each ring cell to 128 bytes (a false-sharing range) as in
-	// Figure 3a. Unpadded cells pack eight per cache line, trading false
-	// sharing for footprint; the ablation bench quantifies the difference.
-	// The default (zero value) is padded; set NoPadding to disable.
+	// NoPadding selects the "adjacent cells" ablation of the CAS2 ring's
+	// cell layout. Both layouts store R dense 16-byte cells (four per 64-byte
+	// cache line). By default (false) ring index i addresses cell
+	// rotl3(i mod R), the cache remap, so consecutive indices sit in
+	// different 128-byte false-sharing ranges — the isolation Figure 3a
+	// gets by padding every cell to 128 bytes, at 1/8 of the memory. With
+	// NoPadding, index i addresses cell i mod R and neighbouring indices
+	// share lines; BenchmarkAblationPadding quantifies the difference. The
+	// SCQ engine always remaps and ignores the field.
 	NoPadding bool
 
 	// StarvationLimit is how many failed enqueue attempts (F&As) the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"lcrq/internal/atomic128"
 	"lcrq/internal/chaos"
@@ -41,13 +42,13 @@ type CRQ struct {
 	cluster atomic.Int64
 	_       pad.Pad
 
-	// The ring. Cell i lives at slab[(i&mask)<<strideShift]; strideShift is
-	// 3 for padded cells (8 × 16 B = one false-sharing range) and 0 for
-	// packed cells.
-	slab        []atomic128.Uint128
-	mask        uint64
-	size        uint64
-	strideShift uint
+	// The ring: R dense cells, cell i at slab[remap.slot(i)]. The default
+	// remap rotates by 3 (8 × 16 B = one false-sharing range), so
+	// consecutive indices never share a range; NoPadding keeps index order.
+	slab  []atomic128.Uint128
+	remap cacheRemap
+	mask  uint64
+	size  uint64
 
 	// stamps is the parallel item-trace array (nil unless tracing is
 	// configured): slot t&mask carries the trace stamp of the enqueuer that
@@ -68,20 +69,20 @@ func NewCRQ(cfg Config) *CRQ {
 	q := &CRQ{cfg: cfg}
 	q.size = uint64(1) << cfg.RingOrder
 	q.mask = q.size - 1
-	if cfg.NoPadding {
-		q.strideShift = 0
-	} else {
-		q.strideShift = 3
-	}
 	if cfg.Ring == RingSCQ {
 		// Portable engine: 2×2n single-word entries + n value slots stand
-		// in for the CAS2 slab (see scq.go); cache_remap replaces stride
-		// padding, so NoPadding is meaningless here.
+		// in for the CAS2 slab (see scq.go); it always remaps, so NoPadding
+		// is meaningless here.
 		q.scq = newSCQRing(cfg.RingOrder)
 	} else {
+		rot := uint(cellRemapRot)
+		if cfg.NoPadding {
+			rot = 0
+		}
+		q.remap = newCacheRemap(uint(cfg.RingOrder), rot)
 		// The all-zero cell is the initial state (safe, index 0, ⊥), so the
 		// freshly zeroed slab needs no initialization loop.
-		q.slab = atomic128.AlignedUint128s(int(q.size) << q.strideShift)
+		q.slab = rangeAlignedCells(q.size)
 	}
 	if cfg.TraceSampleN != 0 {
 		// Zero tags mean "no stamp", so the fresh array needs no init.
@@ -90,9 +91,23 @@ func NewCRQ(cfg Config) *CRQ {
 	return q
 }
 
+// cellRemapRot is the CAS2 ring's cache-remap rotation: 2^3 cells of 16 B
+// fill one false-sharing range.
+const cellRemapRot = 3
+
+// rangeAlignedCells returns n zeroed cells whose first cell starts a
+// false-sharing range, so the remap's groups of 2^cellRemapRot cells are
+// exactly the ranges. It over-allocates by one range less a cell.
+func rangeAlignedCells(n uint64) []atomic128.Uint128 {
+	const perRange = pad.FalseSharingRange / 16
+	buf := atomic128.AlignedUint128s(int(n) + perRange - 1)
+	skip := uint64(-uintptr(unsafe.Pointer(&buf[0])) % pad.FalseSharingRange / 16)
+	return buf[skip : skip+n : skip+n]
+}
+
 //lcrq:hotpath
 func (q *CRQ) cell(i uint64) *atomic128.Uint128 {
-	return &q.slab[(i&q.mask)<<q.strideShift]
+	return &q.slab[q.remap.slot(i)]
 }
 
 // reset returns a drained ring to its initial empty state so it can be

@@ -4,6 +4,10 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"lcrq/internal/atomic128"
+	"lcrq/internal/pad"
 )
 
 // smallCfg keeps rings tiny so wraparound and closing paths are exercised.
@@ -163,19 +167,63 @@ func TestCRQReset(t *testing.T) {
 	}
 }
 
-func TestCRQPaddedLayout(t *testing.T) {
-	for _, padded := range []bool{true, false} {
-		q := NewCRQ(Config{RingOrder: 3, NoPadding: !padded})
-		h := NewHandle()
-		for i := uint64(0); i < 8; i++ {
-			if !q.Enqueue(h, i+1) {
-				t.Fatalf("padded=%v: enqueue %d failed", padded, i)
+// TestCRQCellLayout pins the CAS2 ring's cell layout: R dense cells, a
+// bijective index → cell map, and in the default (remapped) layout no two
+// consecutive indices — including the lap wrap R−1 → R — sharing a
+// false-sharing range. From order 5 they are also a full range apart; at
+// order 4 no ordering of 16 cells can do that (cell 8's two neighbours
+// would both have to be cell 0), so there the range-aligned slab is what
+// keeps them apart. NoPadding is the identity map.
+func TestCRQCellLayout(t *testing.T) {
+	addr := func(c *atomic128.Uint128) uintptr { return uintptr(unsafe.Pointer(c)) }
+	for order := 1; order <= 14; order++ {
+		q := NewCRQ(Config{RingOrder: order})
+		r := uint64(q.Size())
+		if uint64(len(q.slab)) != r {
+			t.Fatalf("order %d: len(slab) = %d, want R = %d", order, len(q.slab), r)
+		}
+		if addr(&q.slab[0])%pad.FalseSharingRange != 0 {
+			t.Fatalf("order %d: slab does not start a false-sharing range", order)
+		}
+		seen := make([]bool, r)
+		for i := uint64(0); i < r; i++ {
+			slot := uint64(addr(q.cell(i))-addr(&q.slab[0])) / 16
+			if slot >= r || seen[slot] {
+				t.Fatalf("order %d: index %d maps to cell %d, out of range or taken", order, i, slot)
+			}
+			seen[slot] = true
+			if q.cell(i) != q.cell(i+r) {
+				t.Fatalf("order %d: indices %d and %d map to different cells", order, i, i+r)
+			}
+			if order < 4 {
+				continue
+			}
+			a, b := addr(q.cell(i)), addr(q.cell(i+1))
+			if a/pad.FalseSharingRange == b/pad.FalseSharingRange {
+				t.Fatalf("order %d: indices %d and %d share a false-sharing range", order, i, i+1)
+			}
+			if d := max(a, b) - min(a, b); order >= 5 && d < pad.FalseSharingRange {
+				t.Fatalf("order %d: indices %d and %d are %d B apart, want ≥ %d", order, i, i+1, d, pad.FalseSharingRange)
 			}
 		}
-		for i := uint64(0); i < 8; i++ {
-			if v, ok := q.Dequeue(h); !ok || v != i+1 {
-				t.Fatalf("padded=%v: got (%d,%v)", padded, v, ok)
+
+		adj := NewCRQ(Config{RingOrder: order, NoPadding: true})
+		for i := uint64(0); i < 2*r; i++ {
+			if adj.cell(i) != &adj.slab[i%r] {
+				t.Fatalf("order %d: NoPadding maps index %d off the identity", order, i)
 			}
+		}
+	}
+
+	// FIFO through three laps of the smallest remapped ring.
+	q := NewCRQ(Config{RingOrder: 4})
+	h := NewHandle()
+	for i := uint64(1); i <= 48; i++ {
+		if !q.Enqueue(h, i) {
+			t.Fatalf("enqueue %d failed", i)
+		}
+		if v, ok := q.Dequeue(h); !ok || v != i {
+			t.Fatalf("got (%d,%v), want %d", v, ok, i)
 		}
 	}
 }

@@ -10,7 +10,9 @@
 // # Algorithm recap
 //
 // A CRQ is a ring of R cells indexed by ever-increasing 64-bit head and
-// tail counters; index i addresses cell i mod R. Enqueuers and dequeuers
+// tail counters; index i addresses cell i mod R (stored at a cache-remapped
+// position, so neighbouring indices do not share a cache line; see
+// cacheRemap). Enqueuers and dequeuers
 // obtain indices with fetch-and-add — which always succeeds, so contention
 // on head and tail costs only cache-coherence traffic, never wasted retries
 // — and then synchronize on the addressed cell with a double-width CAS

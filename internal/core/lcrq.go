@@ -151,23 +151,25 @@ func (q *LCRQ) protect(h *Handle, slot int, src *atomic.Pointer[CRQ]) *CRQ {
 // can attribute the ring once it is actually published.
 func (q *LCRQ) newRing(h *Handle, v uint64) (r *CRQ, recycled bool) {
 	if !q.cfg.NoRecycle {
-		if r, ok := q.pool.Get().(*CRQ); ok && r != nil {
+		if p, ok := q.pool.Get().(*CRQ); ok && p != nil {
 			q.recGets.Add(1)
-			r.reset()
-			r.seed(v)
-			if h.traceArmed && r.stamps != nil {
-				r.stampTrace(h, 0) // the seeded value sits at index 0
-			}
+			p.reset()
 			h.C.Recycled++
-			return r, true
+			r, recycled = p, true
 		}
 	}
-	r = NewCRQ(q.cfg)
-	r.seed(v)
-	if h.traceArmed && r.stamps != nil {
-		r.stampTrace(h, 0)
+	if r == nil {
+		r = NewCRQ(q.cfg)
 	}
-	return r, false
+	r.seed(v)
+	// The appender's value is already in the ring, so the ring starts out
+	// owned by the appender's cluster (LCRQ+H): its cluster-mates pass the
+	// gate at once instead of waiting out a claim on every new ring.
+	r.cluster.Store(h.Cluster)
+	if h.traceArmed && r.stamps != nil {
+		r.stampTrace(h, 0) // the seeded value sits at index 0
+	}
+	return r, recycled
 }
 
 // releaseRing returns a ring that was never published (a refused or lost

@@ -76,13 +76,12 @@ type scqRing struct {
 	data  []uint64
 
 	// Geometry, read-only after init.
-	ringBits   uint   // log2 of the entry count 2n (= order+1)
-	slotMask   uint64 // 2n − 1
-	idxMask    uint64 // index field mask (width order+1); field 0 = ⊥
-	unsafeBit  uint64 // 1 << (order+1)
-	cycleShift uint   // order + 2
-	rot        uint   // cache-remap rotation (0 = identity on tiny rings)
-	thrReset   int64  // 3n − 1 (the paper's threshold)
+	ringBits   uint       // log2 of the entry count 2n (= order+1)
+	remap      cacheRemap // ring index → entry slot
+	idxMask    uint64     // index field mask (width order+1); field 0 = ⊥
+	unsafeBit  uint64     // 1 << (order+1)
+	cycleShift uint       // order + 2
+	thrReset   int64      // 3n − 1 (the paper's threshold)
 }
 
 // newSCQRing returns an empty SCQ engine for 2^order data slots with the
@@ -91,7 +90,7 @@ func newSCQRing(order int) *scqRing {
 	n := uint64(1) << order
 	s := &scqRing{
 		ringBits:   uint(order) + 1,
-		slotMask:   2*n - 1,
+		remap:      newCacheRemap(uint(order)+1, 3), // 8 entries: one cache line
 		idxMask:    2*n - 1,
 		unsafeBit:  2 * n,
 		cycleShift: uint(order) + 2,
@@ -99,12 +98,6 @@ func newSCQRing(order int) *scqRing {
 		aqEnt:      make([]atomic.Uint64, 2*n),
 		fqEnt:      make([]atomic.Uint64, 2*n),
 		data:       make([]uint64, n),
-	}
-	if s.ringBits > 3 {
-		// Bijective rotate-left-by-3 within ringBits: consecutive indices
-		// land 8 entries (one cache line of 8-byte words) apart, the
-		// paper's cache_remap. Rings of ≤ 8 entries fit a line anyway.
-		s.rot = 3
 	}
 	s.initState()
 	return s
@@ -123,7 +116,7 @@ func (s *scqRing) initState() {
 	}
 	n := uint64(len(s.data))
 	for i := uint64(0); i < n; i++ {
-		s.fqEnt[s.remap(i)].Store(s.mkEntry(1, 0, i))
+		s.fqEnt[s.remap.slot(i)].Store(s.mkEntry(1, 0, i))
 	}
 	s.fqHead.Store(0)
 	s.fqTail.Store(n)
@@ -137,21 +130,10 @@ func (s *scqRing) initState() {
 // the dequeue of index 0 — using slot 0, consumed from the head of the fq.
 func (s *scqRing) seedValue(v uint64) {
 	s.data[0] = v
-	s.fqEnt[s.remap(0)].Store(s.mkEntry(1, 0, s.idxMask)) // slot 0: consumed at fq cycle 0
+	s.fqEnt[s.remap.slot(0)].Store(s.mkEntry(1, 0, s.idxMask)) // slot 0: consumed at fq cycle 0
 	s.fqHead.Store(1)
-	s.aqEnt[s.remap(0)].Store(s.mkEntry(1, 0, 0)) // deposited at aq cycle 0
+	s.aqEnt[s.remap.slot(0)].Store(s.mkEntry(1, 0, 0)) // deposited at aq cycle 0
 	s.aqThr.Store(s.thrReset)
-}
-
-// remap spreads consecutive ring indices across cache lines (cache_remap).
-//
-//lcrq:hotpath
-func (s *scqRing) remap(i uint64) uint64 {
-	pos := i & s.slotMask
-	if s.rot == 0 {
-		return pos
-	}
-	return ((pos << s.rot) | (pos >> (s.ringBits - s.rot))) & s.slotMask
 }
 
 // mkEntry builds an entry word from the cycle+1 field value, the unsafe bit
@@ -245,7 +227,7 @@ func (q *CRQ) iqDeq(h *Handle, aq bool) (idx, at uint64, ok bool) {
 			h.C.FAA++
 			hd = headW.Add(1) - 1
 		}
-		j := s.remap(hd)
+		j := s.remap.slot(hd)
 		hc := (hd >> s.ringBits) + 1
 		for {
 			e := ent[j].Load()
@@ -309,7 +291,7 @@ func (s *scqRing) fqEnqueue(h *Handle, idx uint64) {
 	for {
 		h.C.FAA++
 		t := s.fqTail.Add(1) - 1
-		j := s.remap(t)
+		j := s.remap.slot(t)
 		tc := (t >> s.ringBits) + 1
 		for {
 			e := s.fqEnt[j].Load()
@@ -352,7 +334,7 @@ func (q *CRQ) aqEnqueue(h *Handle, idx uint64) bool {
 		if t&closedBit != 0 {
 			return false
 		}
-		j := s.remap(t)
+		j := s.remap.slot(t)
 		tc := (t >> s.ringBits) + 1
 		for {
 			e := s.aqEnt[j].Load()

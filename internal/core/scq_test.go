@@ -41,8 +41,8 @@ func TestSCQRemapBijective(t *testing.T) {
 		slots := uint64(2) << order
 		seen := make(map[uint64]bool, slots)
 		for i := uint64(0); i < slots; i++ {
-			j := s.remap(i)
-			if j > s.slotMask {
+			j := s.remap.slot(i)
+			if j > s.remap.mask {
 				t.Fatalf("order %d: remap(%d) = %d out of range", order, i, j)
 			}
 			if seen[j] {
@@ -51,7 +51,7 @@ func TestSCQRemapBijective(t *testing.T) {
 			seen[j] = true
 		}
 		// remap must be cycle-invariant: index i and i+2n share a slot.
-		if s.remap(3) != s.remap(3+slots) {
+		if s.remap.slot(3) != s.remap.slot(3+slots) {
 			t.Fatalf("order %d: remap not periodic in the ring size", order)
 		}
 	}

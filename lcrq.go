@@ -96,8 +96,8 @@ type Queue struct {
 }
 
 // New returns an empty queue. With no options the queue uses rings of
-// 2^12 cells, cache-line-padded cells, hardware fetch-and-add, and
-// hazard-pointer ring recycling.
+// 2^12 cells, cache-remapped cells (consecutive indices on different cache
+// lines), hardware fetch-and-add, and hazard-pointer ring recycling.
 func New(opts ...Option) *Queue {
 	var cfg core.Config
 	for _, o := range opts {

@@ -215,3 +215,18 @@ func TestTypedStashProducerConsumer(t *testing.T) {
 	}
 	checkArenaConserved(t, q)
 }
+
+// TestTypedFreeListUntelemetered: the free list builds no telemetry sink
+// and its handles register with none — Typed.Metrics reports the main
+// queue only — while the main queue keeps the telemetry it was asked for.
+func TestTypedFreeListUntelemetered(t *testing.T) {
+	q := NewTyped[int](WithTelemetry(), WithTracing(16))
+	h := q.NewHandle()
+	defer h.Release()
+	if q.main.tel == nil || h.main.tel == nil {
+		t.Fatal("the main queue lost its telemetry")
+	}
+	if q.free.tel != nil || h.free.tel != nil {
+		t.Fatal("the free list has a telemetry sink nothing reads")
+	}
+}
