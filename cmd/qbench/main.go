@@ -10,26 +10,17 @@
 //	qbench -fig 8a                  # latency CDF
 //	qbench -list                    # what can be regenerated
 //	qbench -queues lcrq,ms-queue -threads 1,2,4 -pairs 50000   # custom sweep
-//	qbench -batch 64 -metrics BENCH_batch.json  # batched-operation study
+//	qbench -batch 64                # batched-operation study
 //
 // Flags -pairs, -runs, -maxthreads, and -ring scale any experiment; -csv
-// switches figure output to CSV; -chart adds an ASCII chart; -metrics PATH
-// additionally writes the results as a JSON sidecar for dashboards.
-//
-// Governed runs (extension): -capacity N bounds the LCRQ family to N
-// in-flight items (producers block under backpressure), and -watchdog DUR
-// samples the budget stats at that interval, deriving a health verdict.
-// Both the budget outcome and the verdict land in the -metrics sidecar:
-//
-//	qbench -queues lcrq -threads 8 -capacity 1024 -watchdog 10ms -metrics gov.json
+// switches figure output to CSV; -chart adds an ASCII chart; -json emits
+// the results as JSON instead of tables.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,7 +38,7 @@ func main() {
 		pairs      = flag.Int("pairs", 0, "enqueue/dequeue pairs per thread (0 = scaled default)")
 		runs       = flag.Int("runs", 0, "runs per configuration (0 = scaled default)")
 		maxThreads = flag.Int("maxthreads", 0, "clip thread axis (0 = spec values)")
-		ring       = flag.String("ring", "", "a number overrides the LCRQ ring order; engine names (scq,lcrq) run the ring-engine comparison sweep")
+		ring       = flag.Int("ring", 0, "override the LCRQ ring order (0 = spec default)")
 		pin        = flag.Bool("pin", true, "pin threads to CPUs when supported")
 		csv        = flag.Bool("csv", false, "emit figure data as CSV")
 		jsonOut    = flag.Bool("json", false, "emit results as JSON")
@@ -56,28 +47,16 @@ func main() {
 		queuesFlag = flag.String("queues", "", "custom sweep: comma-separated queue names")
 		threadsF   = flag.String("threads", "1,2,4,8", "custom sweep: comma-separated thread counts")
 		prefill    = flag.Int("prefill", 0, "custom sweep: items pre-inserted")
-		metricsOut = flag.String("metrics", "", "also write results as a JSON sidecar to this path")
-		capacity   = flag.Int64("capacity", 0, "governed run: bound the LCRQ family to this many in-flight items (0 = unbounded)")
-		watchdog   = flag.Duration("watchdog", 0, "governed run: sample budget health at this interval and report verdicts (0 = off)")
 		batch      = flag.Int("batch", 0, "batch study: sweep EnqueueBatch/DequeueBatch block sizes up to N (0 = off)")
 	)
 	flag.Parse()
 
-	// -ring is overloaded: a bare number keeps its original meaning (ring
-	// order override), anything else names ring engines for the comparison
-	// sweep (e.g. -ring scq,lcrq).
-	ringOrder := 0
-	ringEngines := ""
-	if *ring != "" {
-		if n, err := strconv.Atoi(*ring); err == nil {
-			ringOrder = n
-		} else {
-			ringEngines = *ring
-		}
+	threads, err := parseThreads(*threadsF)
+	if err != nil {
+		fatal(err)
 	}
-
 	sc := harness.Scale{Pairs: *pairs, Runs: *runs, MaxThreads: *maxThreads,
-		RingOrder: ringOrder, Pin: *pin, Capacity: *capacity, Watchdog: *watchdog}
+		RingOrder: *ring, Pin: *pin}
 	if *paper {
 		p := harness.Paper()
 		if *pairs == 0 {
@@ -88,7 +67,7 @@ func main() {
 		}
 	}
 
-	mode := outputMode{csv: *csv, json: *jsonOut, chart: *chart, metrics: *metricsOut}
+	mode := outputMode{csv: *csv, json: *jsonOut, chart: *chart}
 	switch {
 	case *list:
 		printList()
@@ -105,9 +84,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := mode.sidecar(func(w io.Writer) error { return render.JSONTable(w, res) }); err != nil {
-			fatal(err)
-		}
 		if *jsonOut {
 			if err := render.JSONTable(os.Stdout, res); err != nil {
 				fatal(err)
@@ -116,15 +92,11 @@ func main() {
 			render.Table(os.Stdout, res)
 		}
 	case *batch > 0:
-		if err := runBatch(*batch, *queuesFlag, *threadsF, sc, mode); err != nil {
-			fatal(err)
-		}
-	case ringEngines != "":
-		if err := runRingEngines(ringEngines, *threadsF, sc, mode); err != nil {
+		if err := runBatch(*batch, *queuesFlag, threads, sc, mode); err != nil {
 			fatal(err)
 		}
 	case *queuesFlag != "":
-		if err := runCustom(*queuesFlag, *threadsF, *prefill, sc, mode); err != nil {
+		if err := runCustom(*queuesFlag, threads, *prefill, sc, mode); err != nil {
 			fatal(err)
 		}
 	default:
@@ -133,37 +105,27 @@ func main() {
 	}
 }
 
-// outputMode selects how results are rendered. metrics, when nonempty, is a
-// path that additionally receives the results as JSON — a machine-readable
-// sidecar independent of the human-oriented stdout rendering, so dashboards
-// can ingest every run without giving up the terminal tables.
-type outputMode struct {
-	csv     bool
-	json    bool
-	chart   bool
-	metrics string
+// parseThreads parses the -threads list of positive thread counts.
+func parseThreads(csv string) ([]int, error) {
+	var threads []int
+	for _, t := range strings.Split(csv, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(t))
+		if err != nil || v < 1 {
+			return nil, fmt.Errorf("bad thread count %q", t)
+		}
+		threads = append(threads, v)
+	}
+	return threads, nil
 }
 
-// sidecar writes the JSON form of the results to the -metrics path, if set.
-func (m outputMode) sidecar(write func(io.Writer) error) error {
-	if m.metrics == "" {
-		return nil
-	}
-	f, err := os.Create(m.metrics)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+// outputMode selects how results are rendered.
+type outputMode struct {
+	csv   bool
+	json  bool
+	chart bool
 }
 
 func (m outputMode) figure(res *harness.FigureResult) error {
-	if err := m.sidecar(func(w io.Writer) error { return render.JSONFigure(w, res) }); err != nil {
-		return err
-	}
 	switch {
 	case m.json:
 		return render.JSONFigure(os.Stdout, res)
@@ -192,9 +154,6 @@ func runFigure(id string, sc harness.Scale, mode outputMode) error {
 		if err != nil {
 			return err
 		}
-		if err := mode.sidecar(func(w io.Writer) error { return render.JSONLatency(w, res) }); err != nil {
-			return err
-		}
 		if mode.json {
 			return render.JSONLatency(os.Stdout, res)
 		}
@@ -204,9 +163,6 @@ func runFigure(id string, sc harness.Scale, mode outputMode) error {
 	if spec, ok := harness.RingSweeps()[id]; ok {
 		res, err := harness.RunRingSweep(spec, sc)
 		if err != nil {
-			return err
-		}
-		if err := mode.sidecar(func(w io.Writer) error { return render.JSONRingSweep(w, res) }); err != nil {
 			return err
 		}
 		if mode.json {
@@ -222,20 +178,14 @@ func runFigure(id string, sc harness.Scale, mode outputMode) error {
 // clipped to maxK (maxK itself is added when it falls between the standard
 // points), comparing item throughput and F&A amortization against the k=1
 // baseline.
-func runBatch(maxK int, queuesCSV, threadsCSV string, sc harness.Scale, mode outputMode) error {
+func runBatch(maxK int, queuesCSV string, threads []int, sc harness.Scale, mode outputMode) error {
 	spec := harness.BatchSweep()
 	if queuesCSV != "" {
 		spec.Queue = strings.Split(queuesCSV, ",")[0]
 	}
-	if threadsCSV != "" {
-		for _, t := range strings.Split(threadsCSV, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(t))
-			if err != nil || v < 1 {
-				return fmt.Errorf("bad thread count %q", t)
-			}
-			if v > spec.Threads {
-				spec.Threads = v
-			}
+	for _, v := range threads {
+		if v > spec.Threads {
+			spec.Threads = v
 		}
 	}
 	var sizes []int
@@ -252,9 +202,6 @@ func runBatch(maxK int, queuesCSV, threadsCSV string, sc harness.Scale, mode out
 	if err != nil {
 		return err
 	}
-	if err := mode.sidecar(func(w io.Writer) error { return render.JSONBatchSweep(w, res) }); err != nil {
-		return err
-	}
 	if mode.json {
 		return render.JSONBatchSweep(os.Stdout, res)
 	}
@@ -262,7 +209,7 @@ func runBatch(maxK int, queuesCSV, threadsCSV string, sc harness.Scale, mode out
 	return nil
 }
 
-func runCustom(queuesCSV, threadsCSV string, prefill int, sc harness.Scale, mode outputMode) error {
+func runCustom(queuesCSV string, threads []int, prefill int, sc harness.Scale, mode outputMode) error {
 	names := strings.Split(queuesCSV, ",")
 	for _, n := range names {
 		found := false
@@ -274,14 +221,6 @@ func runCustom(queuesCSV, threadsCSV string, prefill int, sc harness.Scale, mode
 		if !found {
 			return fmt.Errorf("unknown queue %q (have %v)", n, queues.Names())
 		}
-	}
-	var threads []int
-	for _, t := range strings.Split(threadsCSV, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(t))
-		if err != nil || v < 1 {
-			return fmt.Errorf("bad thread count %q", t)
-		}
-		threads = append(threads, v)
 	}
 	spec := harness.FigureSpec{
 		ID:        "custom",
@@ -297,61 +236,6 @@ func runCustom(queuesCSV, threadsCSV string, prefill int, sc harness.Scale, mode
 		return err
 	}
 	return mode.figure(res)
-}
-
-// runRingEngines compares ring engines under the paper's single-op
-// pairwise workload: each engine name maps to the registered queue that
-// forces it ("lcrq" = the per-GOARCH default, CAS2 on native amd64; "scq" =
-// the portable single-word engine). Besides the usual figure rendering it
-// prints the SCQ/LCRQ throughput ratio per thread count — the acceptance
-// gate for the portable ring is staying within 2x of CAS2 on amd64.
-func runRingEngines(enginesCSV, threadsCSV string, sc harness.Scale, mode outputMode) error {
-	var names []string
-	for _, e := range strings.Split(enginesCSV, ",") {
-		switch e = strings.TrimSpace(e); e {
-		case "scq", "lcrq":
-			names = append(names, e)
-		default:
-			return fmt.Errorf("unknown ring engine %q (have scq, lcrq)", e)
-		}
-	}
-	var threads []int
-	for _, t := range strings.Split(threadsCSV, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(t))
-		if err != nil || v < 1 {
-			return fmt.Errorf("bad thread count %q", t)
-		}
-		threads = append(threads, v)
-	}
-	spec := harness.FigureSpec{
-		ID:        "ring-engines",
-		Title:     "ring engine comparison (enqueue/dequeue pairs)",
-		Queues:    names,
-		Threads:   threads,
-		Placement: harness.SingleCluster,
-		MaxDelay:  100,
-	}
-	res, err := harness.RunFigure(spec, sc)
-	if err != nil {
-		return err
-	}
-	if err := mode.figure(res); err != nil {
-		return err
-	}
-	byQueue := map[string][]harness.Point{}
-	for _, s := range res.Series {
-		byQueue[s.Queue] = s.Points
-	}
-	scq, lcrq := byQueue["scq"], byQueue["lcrq"]
-	if !mode.json && len(scq) == len(lcrq) && len(lcrq) > 0 {
-		fmt.Printf("\nSCQ/LCRQ throughput ratio (%s):\n", runtime.GOARCH)
-		for i := range lcrq {
-			if lcrq[i].Mops > 0 {
-				fmt.Printf("  %2d threads: %.2fx\n", lcrq[i].X, scq[i].Mops/lcrq[i].Mops)
-			}
-		}
-	}
-	return nil
 }
 
 func printList() {

@@ -26,14 +26,14 @@ type batchRecord struct {
 }
 
 type killResult struct {
-	Kills      uint64 `json:"kills"`
-	Batches    int    `json:"batches"`
-	Resolved   int    `json:"resolved"`
-	Accepted   uint64 `json:"accepted"`
-	Delivered  uint64 `json:"delivered"`
-	Duplicates uint64 `json:"duplicates"`
-	Lost       uint64 `json:"lost"`
-	Phantoms   uint64 `json:"phantoms"`
+	Kills      uint64
+	Batches    int
+	Resolved   int
+	Accepted   uint64
+	Delivered  uint64
+	Duplicates uint64
+	Lost       uint64
+	Phantoms   uint64
 }
 
 // runKilledConnections drives enqueues through the killer proxy, then
@@ -207,10 +207,10 @@ func runKilledConnections(qservePath string, dur time.Duration) (*killResult, er
 }
 
 type shedResult struct {
-	ShedAfterMs      float64 `json:"shed_after_ms"`
-	ShedHeader       bool    `json:"shed_header"`
-	RecoverMs        float64 `json:"recover_ms"`
-	WatchdogRecovers uint64  `json:"watchdog_recovers"`
+	ShedAfterMs      float64
+	ShedHeader       bool
+	RecoverMs        float64
+	WatchdogRecovers uint64
 }
 
 // runSlowConsumer pins a small bounded queue at capacity with nobody
@@ -332,15 +332,15 @@ func statsz(base string) (*statszBody, error) {
 }
 
 type drainResult struct {
-	Accepted         uint64  `json:"accepted"`
-	Delivered        uint64  `json:"delivered"`
-	Unknown          int     `json:"unknown_batches"`
-	Duplicates       uint64  `json:"duplicates"`
-	Lost             uint64  `json:"lost"`
-	Phantoms         uint64  `json:"phantoms"`
-	PostDrainAccepts uint64  `json:"post_drain_accepts"`
-	ExitCode         int     `json:"exit_code"`
-	DrainMs          float64 `json:"drain_ms"`
+	Accepted         uint64
+	Delivered        uint64
+	Unknown          int
+	Duplicates       uint64
+	Lost             uint64
+	Phantoms         uint64
+	PostDrainAccepts uint64
+	ExitCode         int
+	DrainMs          float64
 }
 
 // runSigtermDrain signals a loaded server and audits the drain contract:

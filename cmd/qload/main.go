@@ -1,15 +1,14 @@
-// Command qload is the end-to-end driver for qserve: it builds load, sweeps
-// configurations, injects the faults a queue service actually meets, and
-// emits a committed perf-trajectory artifact.
+// Command qload is the end-to-end correctness checker for qserve: it drives
+// real HTTP traffic through internal/resilience/client, injects the faults a
+// queue service actually meets, and exits non-zero when any check fails.
 //
-//	qload -qserve ./bin/qserve                      # full sweep + faults
+//	qload -qserve ./bin/qserve                      # trace probe + faults
 //	qload -qserve ./bin/qserve -duration 300ms      # CI smoke
-//	qload -qserve ./bin/qserve -baseline BENCH_e2e.json -out BENCH_e2e.json
 //
-// Per sweep cell (clients × batch × capacity) qload spawns a fresh qserve
-// process, drives producers and consumers over real HTTP through
-// internal/resilience/client, and records enqueue RTT p50/p99 and
-// throughput. Then three fault scenarios run, each against its own server:
+// A trace probe runs first: traced requests must have their whole RTT
+// accounted for by the client, shed, residency and delivery spans, and the
+// server must export the sojourn distribution. Then three fault scenarios
+// run, each against its own freshly spawned qserve process:
 //
 //   - killed connections: enqueues flow through a TCP proxy that murders
 //     connections mid-exchange; ambiguous batches are settled afterwards by
@@ -23,98 +22,46 @@
 //     after the first drain rejection must not be accepted, and the process
 //     must exit 0.
 //
-// The artifact (-out) carries build metadata (commit, GOMAXPROCS,
-// timestamp) so successive runs form a comparable trajectory; -baseline
-// compares cell-by-cell and fails the run when enqueue p99 regresses more
-// than 2x against the committed artifact (cells faster than 2ms are exempt
-// — at that scale the number is scheduler noise, not a trajectory).
+// Every check is printed to stdout; the exit code is the gate. qload
+// measures no performance: throughput and latency are lcrqbench's job
+// (bench/), whose `service` workload drives the same handler.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
-
-	"lcrq/internal/buildmeta"
 )
-
-type cellSpec struct {
-	Clients  int
-	Batch    int
-	Capacity int64
-}
-
-func (c cellSpec) name() string {
-	return fmt.Sprintf("c%db%dcap%d", c.Clients, c.Batch, c.Capacity)
-}
-
-type report struct {
-	Meta   buildmeta.Meta `json:"meta"`
-	Cells  []cellResult   `json:"cells"`
-	Trace  *traceResult   `json:"trace,omitempty"`
-	Faults faultResults   `json:"faults"`
-	Pass   bool           `json:"pass"`
-}
-
-type faultResults struct {
-	KilledConnections *killResult  `json:"killed_connections,omitempty"`
-	SlowConsumer      *shedResult  `json:"slow_consumer,omitempty"`
-	SigtermDrain      *drainResult `json:"sigterm_drain,omitempty"`
-}
 
 func main() {
 	var (
 		qservePath  = flag.String("qserve", "./bin/qserve", "path to the qserve binary to drive")
-		out         = flag.String("out", "", "write the e2e artifact (BENCH_e2e.json shape) here")
-		baseline    = flag.String("baseline", "", "compare enqueue p99 per cell against this artifact; fail on >2x regression")
-		duration    = flag.Duration("duration", 2*time.Second, "measured load per sweep cell")
-		cellsFlag   = flag.String("cells", "2x16x0,4x64x0,4x64x4096", "sweep cells as clientsXbatchXcapacity, comma-separated")
-		skipFaults  = flag.Bool("skip-faults", false, "run only the throughput sweep and trace probe")
+		duration    = flag.Duration("duration", 2*time.Second, "load duration of the killed-connections scenario")
+		skipFaults  = flag.Bool("skip-faults", false, "run only the trace probe")
 		traceProbes = flag.Int("trace-probes", 16, "traced requests for the span-decomposition check")
 	)
 	flag.Parse()
 
-	cells, err := parseCells(*cellsFlag)
-	if err != nil {
-		fatalf("bad -cells: %v", err)
-	}
 	if _, err := os.Stat(*qservePath); err != nil {
 		fatalf("qserve binary: %v (build it first: go build -o bin/qserve ./cmd/qserve)", err)
 	}
-
-	rep := report{Meta: buildmeta.Collect(), Pass: true}
-	fmt.Printf("qload: driving %s (commit %s, GOMAXPROCS %d)\n",
-		*qservePath, rep.Meta.Commit, runtime.GOMAXPROCS(0))
-
-	for _, spec := range cells {
-		fmt.Printf("cell %-16s ", spec.name())
-		res, err := runCell(*qservePath, spec, *duration)
-		if err != nil {
-			fatalf("cell %s: %v", spec.name(), err)
-		}
-		fmt.Printf("%10.0f items/s  p50 %6.2fms  p99 %6.2fms  (%d items, %d retries)\n",
-			res.ThroughputPerSec, res.EnqueueP50Ms, res.EnqueueP99Ms, res.Items, res.Retries)
-		rep.Cells = append(rep.Cells, res)
-	}
+	pass := true
+	fmt.Printf("qload: driving %s (GOMAXPROCS %d)\n", *qservePath, runtime.GOMAXPROCS(0))
 
 	fmt.Println("trace: cross-layer span decomposition")
 	tr, err := runTraceProbe(*qservePath, *traceProbes)
 	if err != nil {
 		fatalf("trace probe: %v", err)
 	}
-	rep.Trace = tr
 	fmt.Printf("  %d probes, max span gap %.2f%%; sojourn p50 %.3fms p99 %.3fms; exemplar rtt %.2fms = backoff %.2f + shed %.2f + residency %.2f + delivery %.2f\n",
 		tr.Probes, tr.MaxGapPct, tr.SojournP50Ms, tr.SojournP99Ms,
 		tr.Exemplar.RTTMs, tr.Exemplar.ClientBackoffMs, tr.Exemplar.ShedWaitMs,
 		tr.Exemplar.QueueResidencyMs, tr.Exemplar.DeliveryMs)
 	if tr.MaxGapPct > 5.0 || !tr.PrometheusSojourn || tr.SojournP99Ms <= 0 {
 		fmt.Println("  FAIL: span decomposition did not account for the RTT, or sojourn missing from an export")
-		rep.Pass = false
+		pass = false
 	}
 
 	if !*skipFaults {
@@ -123,12 +70,11 @@ func main() {
 		if err != nil {
 			fatalf("killed connections: %v", err)
 		}
-		rep.Faults.KilledConnections = kr
 		fmt.Printf("  %d kills over %d batches, %d ambiguous settled by key; accepted %d = delivered %d, duplicates %d\n",
 			kr.Kills, kr.Batches, kr.Resolved, kr.Accepted, kr.Delivered, kr.Duplicates)
 		if kr.Lost != 0 || kr.Duplicates != 0 {
 			fmt.Println("  FAIL: accepted items lost or duplicated")
-			rep.Pass = false
+			pass = false
 		}
 
 		fmt.Println("fault: slow consumer (shed + recover)")
@@ -136,12 +82,11 @@ func main() {
 		if err != nil {
 			fatalf("slow consumer: %v", err)
 		}
-		rep.Faults.SlowConsumer = sr
 		fmt.Printf("  shed 429 after %.0fms (X-Load-Shed %v), recovered %.0fms after consumers returned (%d watchdog recovers)\n",
 			sr.ShedAfterMs, sr.ShedHeader, sr.RecoverMs, sr.WatchdogRecovers)
 		if !sr.ShedHeader || sr.WatchdogRecovers == 0 {
 			fmt.Println("  FAIL: shed or recovery not observed")
-			rep.Pass = false
+			pass = false
 		}
 
 		fmt.Println("fault: SIGTERM mid-traffic (graceful drain)")
@@ -149,90 +94,17 @@ func main() {
 		if err != nil {
 			fatalf("sigterm drain: %v", err)
 		}
-		rep.Faults.SigtermDrain = dr
-		fmt.Printf("  accepted %d, delivered %d (unknown-outcome batches: %d), post-drain accepts %d, exit %d\n",
-			dr.Accepted, dr.Delivered, dr.Unknown, dr.PostDrainAccepts, dr.ExitCode)
+		fmt.Printf("  accepted %d, delivered %d (unknown-outcome batches: %d), post-drain accepts %d, exit %d after %.0fms\n",
+			dr.Accepted, dr.Delivered, dr.Unknown, dr.PostDrainAccepts, dr.ExitCode, dr.DrainMs)
 		if dr.Lost != 0 || dr.Duplicates != 0 || dr.Phantoms != 0 || dr.PostDrainAccepts != 0 || dr.ExitCode != 0 {
 			fmt.Println("  FAIL: drain contract violated")
-			rep.Pass = false
+			pass = false
 		}
 	}
 
-	if *baseline != "" {
-		if msgs := compareBaseline(*baseline, rep.Cells); len(msgs) > 0 {
-			for _, m := range msgs {
-				fmt.Println("regression:", m)
-			}
-			rep.Pass = false
-		} else {
-			fmt.Println("baseline: enqueue p99 within 2x on every comparable cell")
-		}
-	}
-
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatalf("-out: %v", err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatalf("-out: %v", err)
-		}
-		f.Close()
-		fmt.Printf("wrote %s\n", *out)
-	}
-	if !rep.Pass {
+	if !pass {
 		os.Exit(1)
 	}
-}
-
-func parseCells(s string) ([]cellSpec, error) {
-	var cells []cellSpec
-	for _, part := range strings.Split(s, ",") {
-		dims := strings.Split(strings.TrimSpace(part), "x")
-		if len(dims) != 3 {
-			return nil, fmt.Errorf("%q: want clientsXbatchXcapacity", part)
-		}
-		clients, err1 := strconv.Atoi(dims[0])
-		batch, err2 := strconv.Atoi(dims[1])
-		capacity, err3 := strconv.ParseInt(dims[2], 10, 64)
-		if err1 != nil || err2 != nil || err3 != nil || clients <= 0 || batch <= 0 || capacity < 0 {
-			return nil, fmt.Errorf("%q: bad dimensions", part)
-		}
-		cells = append(cells, cellSpec{Clients: clients, Batch: batch, Capacity: capacity})
-	}
-	return cells, nil
-}
-
-// compareBaseline returns one message per regressed cell: same name, new
-// p99 more than 2x the committed p99, and the new p99 slow enough (>2ms)
-// that the ratio means something on a noisy runner.
-func compareBaseline(path string, cells []cellResult) []string {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return []string{fmt.Sprintf("baseline unreadable: %v", err)}
-	}
-	var base report
-	if err := json.Unmarshal(data, &base); err != nil {
-		return []string{fmt.Sprintf("baseline unparsable: %v", err)}
-	}
-	byName := make(map[string]cellResult, len(base.Cells))
-	for _, c := range base.Cells {
-		byName[c.Name] = c
-	}
-	var msgs []string
-	for _, c := range cells {
-		b, ok := byName[c.Name]
-		if !ok || b.EnqueueP99Ms <= 0 {
-			continue
-		}
-		if c.EnqueueP99Ms > 2*b.EnqueueP99Ms && c.EnqueueP99Ms > 2.0 {
-			msgs = append(msgs, fmt.Sprintf("cell %s: enqueue p99 %.2fms vs baseline %.2fms (>2x)",
-				c.Name, c.EnqueueP99Ms, b.EnqueueP99Ms))
-		}
-	}
-	return msgs
 }
 
 func fatalf(format string, args ...any) {

@@ -28,24 +28,22 @@ import (
 // the client. All clocks are one machine's, so the anchoring needs no skew
 // correction — only a clamp at the enqueue-response edge, reported as gap.
 type traceSpan struct {
-	TraceID          string  `json:"trace_id"`
-	RTTMs            float64 `json:"rtt_ms"`
-	ClientBackoffMs  float64 `json:"client_backoff_ms"`
-	ShedWaitMs       float64 `json:"shed_wait_ms"`
-	QueueResidencyMs float64 `json:"queue_residency_ms"`
-	DeliveryMs       float64 `json:"delivery_ms"`
-	SojournNs        int64   `json:"sojourn_ns"` // server-side stamp, informational
-	GapPct           float64 `json:"gap_pct"`    // |sum of spans − rtt| / rtt, percent
+	RTTMs            float64
+	ClientBackoffMs  float64
+	ShedWaitMs       float64
+	QueueResidencyMs float64
+	DeliveryMs       float64
+	GapPct           float64 // |sum of spans − rtt| / rtt, percent
 }
 
-// traceResult is the artifact block for the traced-probe phase.
+// traceResult is the outcome of the traced-probe phase.
 type traceResult struct {
-	Probes            int       `json:"probes"`
-	MaxGapPct         float64   `json:"max_gap_pct"`
-	SojournP50Ms      float64   `json:"sojourn_p50_ms"` // server /statsz sojourn quantiles
-	SojournP99Ms      float64   `json:"sojourn_p99_ms"`
-	PrometheusSojourn bool      `json:"prometheus_sojourn"` // lcrq_sojourn_seconds present on /metrics
-	Exemplar          traceSpan `json:"exemplar"`
+	Probes            int
+	MaxGapPct         float64
+	SojournP50Ms      float64 // server /statsz sojourn quantiles
+	SojournP99Ms      float64
+	PrometheusSojourn bool // lcrq_sojourn_seconds present on /metrics
+	Exemplar          traceSpan
 }
 
 // runTraceProbe drives traced requests through a fresh server and verifies
@@ -94,7 +92,7 @@ func runTraceProbe(qservePath string, probes int) (*traceResult, error) {
 			}
 		}
 
-		span := decompose(want, t0, t1, t2, sp, hit)
+		span := decompose(t0, t1, t2, sp, hit)
 		if span.GapPct > res.MaxGapPct {
 			res.MaxGapPct = span.GapPct
 		}
@@ -142,7 +140,7 @@ func runTraceProbe(qservePath string, probes int) (*traceResult, error) {
 // is clamped at the enqueue-response edge (the stamp lands a hair before
 // the response returns), and whatever the clamp absorbed is the reported
 // gap — with one clock, that gap is measurement resolution, not drift.
-func decompose(id string, t0, t1, t2 time.Time, sp client.Spans, hit *resilience.WireTrace) traceSpan {
+func decompose(t0, t1, t2 time.Time, sp client.Spans, hit *resilience.WireTrace) traceSpan {
 	rtt := t2.Sub(t0)
 	backoff := sp.Backoff
 	shedWait := t1.Sub(t0) - backoff
@@ -156,13 +154,11 @@ func decompose(id string, t0, t1, t2 time.Time, sp client.Spans, hit *resilience
 	delivery := t2.Sub(t1) - residency
 
 	s := traceSpan{
-		TraceID:          id,
 		RTTMs:            float64(rtt.Nanoseconds()) / 1e6,
 		ClientBackoffMs:  float64(backoff.Nanoseconds()) / 1e6,
 		ShedWaitMs:       float64(shedWait.Nanoseconds()) / 1e6,
 		QueueResidencyMs: float64(residency.Nanoseconds()) / 1e6,
 		DeliveryMs:       float64(delivery.Nanoseconds()) / 1e6,
-		SojournNs:        hit.SojournNs,
 	}
 	if rtt > 0 {
 		s.GapPct = 100 * float64(gap.Nanoseconds()) / float64(rtt.Nanoseconds())

@@ -15,14 +15,16 @@ import (
 )
 
 // FuzzQueueModel interprets the fuzz input as an op tape — even bytes
-// enqueue, odd bytes dequeue — and cross-checks the queue against a slice
-// model. The low bits of each byte choose the queue geometry, so the fuzzer
-// also explores tiny rings, CAS-loop mode, and disabled spin waits.
+// enqueue, odd bytes dequeue, bits 1-3 a single operation or a batch of 1-7
+// — and cross-checks the queue against a slice model. The bits of geom
+// choose the queue configuration, so the fuzzer also explores tiny rings,
+// CAS-loop mode, disabled spin waits, no recycling and the SCQ ring.
 func FuzzQueueModel(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 1, 1}, uint8(0))
 	f.Add([]byte{2, 2, 2, 3, 3, 3, 2, 3}, uint8(1))
 	f.Add([]byte{1, 1, 1, 0, 0, 0}, uint8(2))
 	f.Add([]byte{0, 2, 4, 6, 1, 3, 5, 7, 9, 11}, uint8(3))
+	f.Add([]byte{14, 14, 15, 0, 13, 1, 7}, uint8(32))
 	f.Fuzz(func(t *testing.T, ops []byte, geom uint8) {
 		opts := []Option{WithRingSize(2 << (geom % 4))}
 		if geom&4 != 0 {
@@ -34,17 +36,35 @@ func FuzzQueueModel(f *testing.F) {
 		if geom&16 != 0 {
 			opts = append(opts, func(c *core.Config) { c.NoRecycle = true })
 		}
+		if geom&32 != 0 {
+			opts = append(opts, WithPortableRing())
+		}
 		q := New(opts...)
 		h := q.NewHandle()
 		defer h.Release()
 		var model []uint64
 		next := uint64(1)
+		var buf [7]uint64
 		for _, op := range ops {
-			if op%2 == 0 {
+			// Bit 0 picks enqueue or dequeue; bits 1-3 pick a single
+			// operation (0) or a batch of 1-7.
+			k := int(op>>1) & 7
+			switch {
+			case op%2 == 0 && k == 0:
 				h.Enqueue(next)
 				model = append(model, next)
 				next++
-			} else {
+			case op%2 == 0:
+				vs := buf[:k]
+				for i := range vs {
+					vs[i] = next
+					next++
+				}
+				if n, err := h.EnqueueBatch(vs); n != k || err != nil {
+					t.Fatalf("EnqueueBatch(%d) = (%d, %v), want (%d, nil)", k, n, err, k)
+				}
+				model = append(model, vs...)
+			case k == 0:
 				v, ok := h.Dequeue()
 				switch {
 				case len(model) == 0 && ok:
@@ -54,6 +74,22 @@ func FuzzQueueModel(f *testing.F) {
 				case len(model) > 0:
 					model = model[1:]
 				}
+			default:
+				// A batch never crosses a ring, so a partial fill is legal;
+				// 0 with items queued is not.
+				n := h.DequeueBatch(buf[:k])
+				switch {
+				case n > len(model):
+					t.Fatalf("DequeueBatch(%d) = %d with %d queued", k, n, len(model))
+				case n == 0 && len(model) > 0:
+					t.Fatalf("DequeueBatch(%d) = 0 with %d queued", k, len(model))
+				}
+				for i, v := range buf[:n] {
+					if v != model[i] {
+						t.Fatalf("DequeueBatch(%d)[%d] = %d, want %d", k, i, v, model[i])
+					}
+				}
+				model = model[n:]
 			}
 		}
 		// Drain and verify the remainder.

@@ -426,13 +426,11 @@ func (q *CRQ) Dequeue(h *Handle) (v uint64, ok bool) {
 // either advances the value cursor, closes the ring, or raises the shared
 // starvation count toward the tantrum.
 //
+// No value may be Bottom; LCRQ.EnqueueBatch checks that once, before it
+// reserves item budget.
+//
 //lcrq:hotpath
 func (q *CRQ) EnqueueBatch(h *Handle, vs []uint64) (n int, closed bool) {
-	for _, v := range vs {
-		if v == Bottom {
-			panic("core: enqueue of reserved value Bottom")
-		}
-	}
 	k := uint64(len(vs))
 	if k == 0 {
 		return 0, q.Closed()

@@ -423,6 +423,13 @@ func (q *LCRQ) EnqueueStatus(h *Handle, v uint64) EnqStatus {
 //
 //lcrq:hotpath
 func (q *LCRQ) EnqueueBatch(h *Handle, vs []uint64) (int, EnqStatus) {
+	// Reject Bottom before anything is reserved, so the panic cannot leak
+	// item budget or leave a trace armed.
+	for _, v := range vs {
+		if v == Bottom {
+			panic("core: enqueue of reserved value Bottom")
+		}
+	}
 	if len(vs) == 0 {
 		if q.closed.Load() {
 			return 0, EnqClosed

@@ -69,8 +69,6 @@ func RunBatchSweep(spec BatchSweepSpec, sc Scale) (*BatchSweepResult, error) {
 			RingOrder: sc.RingOrder,
 			Runs:      sc.runs(),
 			Pin:       sc.Pin,
-			Capacity:  sc.Capacity,
-			Watchdog:  sc.Watchdog,
 			Batch:     k,
 		}
 		r, err := Run(w)

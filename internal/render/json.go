@@ -18,11 +18,9 @@ type jsonLatencySeries struct {
 	Quantiles map[string]int64 `json:"quantiles_ns"`
 }
 
-// JSONFigure writes a throughput figure as JSON. Governed runs (qbench
-// -capacity / -watchdog) additionally carry the per-point budget outcomes,
-// so the sidecar records both the throughput and how the budgets fared.
+// JSONFigure writes a throughput figure as JSON.
 func JSONFigure(w io.Writer, r *harness.FigureResult) error {
-	out := map[string]any{
+	return encode(w, map[string]any{
 		"figure":    r.Spec.ID,
 		"title":     r.Spec.Title,
 		"series":    r.Series,
@@ -32,15 +30,7 @@ func JSONFigure(w io.Writer, r *harness.FigureResult) error {
 		"host_pkgs": r.HostPkgs,
 		"pairs":     r.Scale.Pairs,
 		"runs":      r.Scale.Runs,
-	}
-	if len(r.Governance) > 0 {
-		out["capacity"] = r.Scale.Capacity
-		if r.Scale.Watchdog > 0 {
-			out["watchdog"] = r.Scale.Watchdog.String()
-		}
-		out["governance"] = r.Governance
-	}
-	return encode(w, out)
+	})
 }
 
 // JSONLatency writes a latency figure as JSON.
@@ -83,9 +73,7 @@ func JSONRingSweep(w io.Writer, r *harness.RingSweepResult) error {
 	})
 }
 
-// JSONBatchSweep writes a batch-size study as JSON — the shape archived as
-// BENCH_batch.json by CI, so successive runs form a trajectory of the
-// F&A-per-item amortization.
+// JSONBatchSweep writes a batch-size study as JSON.
 func JSONBatchSweep(w io.Writer, r *harness.BatchSweepResult) error {
 	return encode(w, map[string]any{
 		"figure":  r.Spec.ID,
@@ -97,9 +85,8 @@ func JSONBatchSweep(w io.Writer, r *harness.BatchSweepResult) error {
 }
 
 // encode writes v as indented JSON with the run's provenance stamped in as
-// "meta" (commit, GOMAXPROCS, timestamp — see internal/buildmeta). Every
-// sidecar gets the stamp, so any two BENCH_*.json artifacts are directly
-// comparable without out-of-band notes about which tree produced them.
+// "meta" (commit, GOMAXPROCS, timestamp — see internal/buildmeta), so any
+// two JSON outputs say which tree and configuration produced them.
 func encode(w io.Writer, v map[string]any) error {
 	v["meta"] = buildmeta.Collect()
 	enc := json.NewEncoder(w)

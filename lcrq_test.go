@@ -40,15 +40,32 @@ func TestQueueZeroValueAllowed(t *testing.T) {
 }
 
 func TestQueueReservedPanics(t *testing.T) {
+	mustPanic := func(op string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: expected panic", op)
+			}
+		}()
+		f()
+	}
 	q := New()
 	h := q.NewHandle()
 	defer h.Release()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	h.Enqueue(Reserved)
+	mustPanic("Enqueue", func() { h.Enqueue(Reserved) })
+
+	// A batch holding Reserved must panic before it reserves item budget:
+	// a leaked reservation would shrink the bound for good.
+	bq := New(WithCapacity(4))
+	bh := bq.NewHandle()
+	defer bh.Release()
+	mustPanic("EnqueueBatch", func() { bh.EnqueueBatch([]uint64{1, Reserved}) })
+	if got := bq.Metrics().Items; got != 0 {
+		t.Fatalf("Items = %d after a rejected batch, want 0", got)
+	}
+	if n, err := bh.EnqueueBatch([]uint64{1, 2, 3, 4}); n != 4 || err != nil {
+		t.Fatalf("EnqueueBatch of 4 into an empty capacity-4 queue = (%d, %v), want (4, nil)", n, err)
+	}
 }
 
 func TestQueueConvenienceMethods(t *testing.T) {
