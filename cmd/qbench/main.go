@@ -1,8 +1,10 @@
-// Command qbench regenerates the throughput figures, latency figures, ring
-// sweeps, and statistics tables of the LCRQ paper's evaluation.
+// Command qbench regenerates the counter figure, throughput figures, latency
+// figures, ring sweeps, and statistics tables of the LCRQ paper's
+// evaluation.
 //
 // Usage:
 //
+//	qbench -fig 1                   # Figure 1: contended counter, F&A vs CAS
 //	qbench -fig 6a                  # Figure 6a at the scaled default size
 //	qbench -fig 7b -paper           # full paper-size run (slow)
 //	qbench -table 2                 # Table 2 statistics
@@ -18,13 +20,16 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
+	"lcrq/internal/counter"
 	"lcrq/internal/harness"
 	"lcrq/internal/queues"
 	"lcrq/internal/render"
@@ -32,7 +37,7 @@ import (
 
 func main() {
 	var (
-		fig        = flag.String("fig", "", "figure to regenerate: 6a, 6b, 7a, 7b, 8a, 8b, 9a, 9b, 9c")
+		fig        = flag.String("fig", "", "figure to regenerate: 1, 6a, 6b, 7a, 7b, 8a, 8b, 9a, 9b, 9c")
 		table      = flag.String("table", "", "table to regenerate: 2 or 3")
 		paper      = flag.Bool("paper", false, "paper-size configuration (10^7 pairs, 10 runs; slow)")
 		pairs      = flag.Int("pairs", 0, "enqueue/dequeue pairs per thread (0 = scaled default)")
@@ -92,7 +97,13 @@ func main() {
 			render.Table(os.Stdout, res)
 		}
 	case *batch > 0:
-		if err := runBatch(*batch, *queuesFlag, threads, sc, mode); err != nil {
+		var batchThreads []int // nil: the spec's own thread count
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "threads" {
+				batchThreads = threads
+			}
+		})
+		if err := runBatch(*batch, *queuesFlag, batchThreads, sc, mode); err != nil {
 			fatal(err)
 		}
 	case *queuesFlag != "":
@@ -141,7 +152,23 @@ func (m outputMode) figure(res *harness.FigureResult) error {
 	return nil
 }
 
+// figure1Title is Figure 1's title; the harness does not run it, so -list
+// names it here.
+const figure1Title = "Contended counter: F&A vs CAS loop"
+
 func runFigure(id string, sc harness.Scale, mode outputMode) error {
+	if id == "1" {
+		if mode.json || mode.csv {
+			return errors.New("figure 1 prints a table only")
+		}
+		incs := sc.Pairs
+		if incs == 0 {
+			incs = 1_000_000
+		}
+		fmt.Printf("Figure 1: %s, %d increments per thread\n\n", figure1Title, incs)
+		counter.Figure(os.Stdout, sc.MaxThreads, incs, sc.Pin)
+		return nil
+	}
 	if spec, ok := harness.Figures()[id]; ok {
 		res, err := harness.RunFigure(spec, sc)
 		if err != nil {
@@ -174,19 +201,31 @@ func runFigure(id string, sc harness.Scale, mode outputMode) error {
 	return fmt.Errorf("unknown figure %q; try -list", id)
 }
 
-// runBatch sweeps EnqueueBatch/DequeueBatch block sizes 1, 4, 16, 64
-// clipped to maxK (maxK itself is added when it falls between the standard
-// points), comparing item throughput and F&A amortization against the k=1
-// baseline.
+// runBatch sweeps EnqueueBatch/DequeueBatch block sizes, comparing item
+// throughput and F&A amortization against the k=1 baseline.
 func runBatch(maxK int, queuesCSV string, threads []int, sc harness.Scale, mode outputMode) error {
+	res, err := harness.RunBatchSweep(batchSpec(maxK, queuesCSV, threads), sc)
+	if err != nil {
+		return err
+	}
+	if mode.json {
+		return render.JSONBatchSweep(os.Stdout, res)
+	}
+	render.BatchSweep(os.Stdout, res)
+	return nil
+}
+
+// batchSpec is the batch study's sweep: block sizes 1, 4, 16, 64 clipped to
+// maxK (maxK itself is added when it falls between the standard points),
+// the first -queues entry if any, and the spec's thread count unless
+// -threads was given (threads non-nil), in which case its largest value.
+func batchSpec(maxK int, queuesCSV string, threads []int) harness.BatchSweepSpec {
 	spec := harness.BatchSweep()
 	if queuesCSV != "" {
 		spec.Queue = strings.Split(queuesCSV, ",")[0]
 	}
-	for _, v := range threads {
-		if v > spec.Threads {
-			spec.Threads = v
-		}
+	if len(threads) > 0 {
+		spec.Threads = slices.Max(threads)
 	}
 	var sizes []int
 	for _, k := range spec.Sizes {
@@ -198,15 +237,7 @@ func runBatch(maxK int, queuesCSV string, threads []int, sc harness.Scale, mode 
 		sizes = append(sizes, maxK)
 	}
 	spec.Sizes = sizes
-	res, err := harness.RunBatchSweep(spec, sc)
-	if err != nil {
-		return err
-	}
-	if mode.json {
-		return render.JSONBatchSweep(os.Stdout, res)
-	}
-	render.BatchSweep(os.Stdout, res)
-	return nil
+	return spec
 }
 
 func runCustom(queuesCSV string, threads []int, prefill int, sc harness.Scale, mode outputMode) error {
@@ -251,6 +282,7 @@ func printList() {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
+	fmt.Printf("  %-4s %s (-pairs sets increments per thread)\n", "1", figure1Title)
 	for _, id := range ids {
 		title := ""
 		if s, ok := harness.Figures()[id]; ok {

@@ -100,17 +100,7 @@ func report(w io.Writer, sc harness.Scale, incs int) error {
 
 	// Figure 1.
 	fmt.Fprintf(w, "## Figure 1: contended counter, F&A vs CAS loop\n\n```\n")
-	max := 2 * topo.NumCPUs()
-	if sc.MaxThreads > 0 && max > sc.MaxThreads {
-		max = sc.MaxThreads
-	}
-	fmt.Fprintf(w, "%-8s  %-12s  %-12s  %-8s\n", "threads", "F&A ns/inc", "CAS ns/inc", "CAS/inc")
-	for t := 1; t <= max; t *= 2 {
-		faa := counter.Run(counter.FAA, t, incs, sc.Pin)
-		cas := counter.Run(counter.CASLoop, t, incs, sc.Pin)
-		fmt.Fprintf(w, "%-8d  %-12.2f  %-12.2f  %-8.3f\n",
-			t, faa.NsPerInc, cas.NsPerInc, cas.CASPerInc)
-	}
+	counter.Figure(w, sc.MaxThreads, incs, sc.Pin)
 	fmt.Fprintf(w, "```\n\n")
 
 	// Throughput figures.

@@ -8,6 +8,7 @@ package counter
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -137,4 +138,22 @@ func Run(mode Mode, threads, incs int, pin bool) Result {
 		r.CASPerInc = float64(cas) / float64(total)
 	}
 	return r
+}
+
+// Figure writes Figure 1 as a table: for T = 1, 2, 4, ... threads up to
+// 2×NumCPU (clipped to maxThreads when it is positive), the time per
+// increment with F&A and with a CAS loop, the CAS attempts per increment,
+// and the CAS loop's slowdown.
+func Figure(w io.Writer, maxThreads, incs int, pin bool) {
+	max := 2 * runtime.NumCPU()
+	if maxThreads > 0 && max > maxThreads {
+		max = maxThreads
+	}
+	fmt.Fprintf(w, "%-8s  %-12s  %-12s  %-8s  %s\n", "threads", "F&A ns/inc", "CAS ns/inc", "CAS/inc", "CAS slowdown")
+	for t := 1; t <= max; t *= 2 {
+		faa := Run(FAA, t, incs, pin)
+		cas := Run(CASLoop, t, incs, pin)
+		fmt.Fprintf(w, "%-8d  %-12.2f  %-12.2f  %-8.3f  %.2fx\n",
+			t, faa.NsPerInc, cas.NsPerInc, cas.CASPerInc, cas.NsPerInc/faa.NsPerInc)
+	}
 }

@@ -49,7 +49,9 @@ func TestSpansAccounting(t *testing.T) {
 
 // TestClientTraceRoundTrip runs the real server underneath: EnqueueTraced's
 // identity comes back on DequeueTraced with a sojourn, closing the
-// client→wire→queue→wire→client loop in one process.
+// client→wire→queue→wire→client loop in one process. The stamp and claim
+// instant must fall inside the calls, and the spans of DESIGN.md §13.3 must
+// add up to the round trip.
 func TestClientTraceRoundTrip(t *testing.T) {
 	q := lcrq.New(lcrq.WithForcedTracingOnly())
 	srv := server.New(server.Config{Queue: q})
@@ -61,11 +63,17 @@ func TestClientTraceRoundTrip(t *testing.T) {
 
 	c := New(Config{BaseURL: ts.URL})
 	const id uint64 = 0xabcdef0123456789
-	n, _, err := c.EnqueueTraced(context.Background(), "", []uint64{11, 12}, time.Second, id)
+	// The item waits at least this long, so a sojourn in the wrong unit shows.
+	const residency = 2 * time.Millisecond
+	t0 := time.Now()
+	n, esp, err := c.EnqueueTraced(context.Background(), "", []uint64{11, 12}, time.Second, id)
+	t1 := time.Now()
 	if err != nil || n != 2 {
 		t.Fatalf("EnqueueTraced = %d, %v", n, err)
 	}
+	time.Sleep(residency)
 	vals, traces, sp, err := c.DequeueTraced(context.Background(), 4, 0)
+	t2 := time.Now()
 	if err != nil {
 		t.Fatalf("DequeueTraced: %v", err)
 	}
@@ -84,5 +92,22 @@ func TestClientTraceRoundTrip(t *testing.T) {
 	}
 	if sp.Attempts != 1 || sp.Backoff != 0 {
 		t.Fatalf("dequeue spans = %+v, want single clean attempt", sp)
+	}
+	tr := traces[0]
+	stamp, claim := time.Unix(0, tr.EnqueuedAtUnixNs), time.Unix(0, tr.EnqueuedAtUnixNs+tr.SojournNs)
+	if stamp.Before(t0) || stamp.After(t1) {
+		t.Fatalf("stamp %v outside the enqueue call [%v, %v]", stamp, t0, t1)
+	}
+	if claim.Before(t1.Add(residency)) || claim.After(t2) {
+		t.Fatalf("claim %v (sojourn %v) outside [T1+%v, T2] = [%v, %v]",
+			claim, time.Duration(tr.SojournNs), residency, t1.Add(residency), t2)
+	}
+	// The spans partition T2−T0; only a residency clamped at zero leaves a
+	// gap.
+	backoff, shedWait := esp.Backoff, t1.Sub(t0)-esp.Backoff
+	queueResidency, delivery := max(claim.Sub(t1), 0), t2.Sub(claim)
+	if rtt, sum := t2.Sub(t0), backoff+shedWait+queueResidency+delivery; (sum - rtt).Abs() > rtt/20 {
+		t.Fatalf("spans backoff %v + shed_wait %v + queue_residency %v + delivery %v = %v miss the RTT %v by more than 5%%",
+			backoff, shedWait, queueResidency, delivery, sum, rtt)
 	}
 }

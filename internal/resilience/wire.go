@@ -1,8 +1,8 @@
 package resilience
 
 // Wire types of the qserve HTTP/JSON protocol, shared by the server
-// (internal/resilience/server), the client library
-// (internal/resilience/client), and the e2e driver (cmd/qload).
+// (internal/resilience/server) and the client library
+// (internal/resilience/client).
 //
 // Values are uint64, carried as JSON numbers: exact through Go's
 // encoder/decoder at any magnitude, but JavaScript consumers lose precision

@@ -50,9 +50,9 @@ const Reserved = core.Bottom
 // fully drained: no value is coming, ever.
 var ErrClosed = errors.New("lcrq: queue closed")
 
-// ErrFull is returned by TryEnqueue when a bounded queue (WithCapacity /
-// WithMaxRings) has no item or ring budget left. The value was not
-// enqueued; EnqueueWait retries instead of returning it.
+// ErrFull is returned by TryEnqueue when a bounded queue (WithCapacity)
+// has no item or ring budget left. The value was not enqueued; EnqueueWait
+// retries instead of returning it.
 var ErrFull = errors.New("lcrq: queue full")
 
 // ErrEmpty reports that the queue held no value. It is never returned on
@@ -86,8 +86,8 @@ func (e *WaitError) Error() string { return e.State.Error() + ": " + e.Cause.Err
 func (e *WaitError) Unwrap() []error { return []error{e.State, e.Cause} }
 
 // Queue is a nonblocking MPMC FIFO queue of uint64 values, unbounded by
-// default and bounded with WithCapacity / WithMaxRings. All methods are
-// safe for concurrent use.
+// default and bounded with WithCapacity. All methods are safe for
+// concurrent use.
 type Queue struct {
 	q    *core.LCRQ
 	tel  *telemetry.Sink // nil unless WithTelemetry / WithLatencySampling

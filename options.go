@@ -34,14 +34,6 @@ func WithPortableRing() Option {
 	return func(c *core.Config) { c.Ring = core.RingSCQ }
 }
 
-// WithCAS2Ring forces the 128-bit CAS2 ring engine, the paper's CRQ. On
-// non-amd64, purego, or race builds the CAS2 itself runs through the
-// striped-lock emulation — correct but no longer lock-free; prefer the
-// default (SCQ) there unless comparing the engines.
-func WithCAS2Ring() Option {
-	return func(c *core.Config) { c.Ring = core.RingCAS2 }
-}
-
 // WithHierarchical enables the LCRQ+H cluster-batching optimization: an
 // operation arriving from a cluster other than the ring's current owner
 // waits up to timeout (0 means the paper's 100 µs) before proceeding,
@@ -131,26 +123,13 @@ func WithForcedTracingOnly() Option {
 // EnqueueWait blocks until a dequeue frees budget. A ring budget is derived
 // automatically (⌈n/R⌉+1 segments, one extra for the drained-but-unretired
 // head ring), so a bounded queue's memory stays bounded even when consumers
-// stall; combine with WithMaxRings to set the segment budget explicitly.
-// n ≤ 0 leaves the queue unbounded.
+// stall. n ≤ 0 leaves the queue unbounded.
 //
 // The bound is enforced with one atomic add per operation on the shared
 // item account; unbounded queues skip it entirely, so the default
 // configuration is unaffected.
 func WithCapacity(n int64) Option {
 	return func(c *core.Config) { c.Capacity = n }
-}
-
-// WithMaxRings bounds the number of ring segments linked in the queue's
-// list: an enqueue that would need to append a segment past the budget is
-// rejected like a capacity overflow. This caps the queue's memory at
-// roughly n × ring size even without an item bound (items can still pack
-// densely into the allowed rings). Budgets below 2 are raised to 2 — the
-// terminal ring only retires once a successor exists, so a budget of 1
-// would wedge after the first ring close. n ≤ 0 leaves the chain unbounded
-// unless WithCapacity derives a budget.
-func WithMaxRings(n int) Option {
-	return func(c *core.Config) { c.MaxRings = n }
 }
 
 // WithWatchdog starts a background health checker that inspects the
