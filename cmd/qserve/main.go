@@ -35,10 +35,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -140,14 +142,43 @@ func main() {
 		}()
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// Shutdown waits for every connection that is not idle, and counts one
+	// that was accepted but has not sent a request (StateNew) as busy until
+	// it is 5 s old. Shutdown runs after the drain, when no accepted work is
+	// left on such a connection, so close those once the listener is shut.
+	// Active connections are left to finish: a dequeue response may still
+	// be in flight.
+	var (
+		connMu   sync.Mutex
+		newConns = make(map[net.Conn]bool)
+	)
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(),
+		ConnState: func(c net.Conn, s http.ConnState) {
+			connMu.Lock()
+			defer connMu.Unlock()
+			if s == http.StateNew {
+				newConns[c] = true
+			} else {
+				delete(newConns, c)
+			}
+		}}
+	hs.RegisterOnShutdown(func() {
+		connMu.Lock()
+		defer connMu.Unlock()
+		for c := range newConns {
+			c.Close()
+		}
+	})
+
+	// Catch SIGTERM before serving: a signal that arrives once /healthz
+	// answers must start the drain, not kill the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
 	logf("qserve: serving on %s (capacity %d, watchdog %v, trace 1-in-%d, commit %s)",
 		*addr, *capacity, *watchdog, *traceSample, buildmeta.Collect().Commit)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	// SIGQUIT is the operator's black-box trigger: dump the flight recorder
 	// and keep serving (unlike the Go runtime default of crashing with all
 	// goroutine stacks).

@@ -20,8 +20,8 @@ import (
 	"lcrq/internal/resilience/client"
 )
 
-// runMainEnv makes the test binary act as qserve: TestSigtermDrain re-runs
-// the binary with it set, so the signal wiring under test is main's own.
+// runMainEnv makes the test binary act as qserve: startQserve re-runs the
+// binary with it set, so the signal wiring under test is main's own.
 const runMainEnv = "QSERVE_TEST_RUN_MAIN"
 
 func TestMain(m *testing.M) {
@@ -38,32 +38,8 @@ func TestMain(m *testing.M) {
 // must be 0. The consumers stop before the signal and return only after
 // every producer met the 503, so the drain always has items to wait for.
 func TestSigtermDrain(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
-	base := "http://" + addr
-
-	cmd := exec.Command(os.Args[0], "-addr", addr, "-capacity", "256", "-quiet",
-		"-drain-deadline", "20s", "-blackbox-dir", t.TempDir())
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
-	var stderr strings.Builder
-	cmd.Stderr = &stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
-	defer cmd.Process.Kill()
-	waitFor(t, "/healthz", func() bool {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-		}
-		return err == nil && resp.StatusCode == http.StatusOK
-	})
+	q := startQserve(t, "-capacity", "256", "-quiet", "-drain-deadline", "20s")
+	base := q.base
 
 	// One attempt per request: the books want each request's own outcome.
 	tr := &http.Transport{}
@@ -159,7 +135,7 @@ func TestSigtermDrain(t *testing.T) {
 		return len(accepted) > len(delivered)
 	})
 
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := q.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	pwg.Wait()
@@ -168,17 +144,9 @@ func TestSigtermDrain(t *testing.T) {
 		go consume(new(atomic.Bool))
 	}
 	cwg.Wait()
-	// A connection the transport dialed but never used holds the listener's
-	// shutdown for 5s; close it.
-	tr.CloseIdleConnections()
 
-	select {
-	case err := <-exited:
-		if err != nil {
-			t.Errorf("qserve exited with %v, want 0; stderr:\n%s", err, stderr.String())
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("qserve did not exit within 30s of SIGTERM")
+	if err := q.wait(); err != nil {
+		t.Error(err)
 	}
 	if got := refused.Load(); got != producers {
 		t.Errorf("%d of %d producers met the drain's 503", got, producers)
@@ -194,6 +162,89 @@ func TestSigtermDrain(t *testing.T) {
 	if wrong != 0 || len(delivered) != len(accepted) {
 		t.Errorf("%d of %d accepted values not delivered exactly once; %d distinct values delivered",
 			wrong, len(accepted), len(delivered))
+	}
+}
+
+// TestSigtermIdleConnection signals qserve while a client holds a
+// connection that has sent nothing: the exit must not wait on it, so the
+// listener's shutdown must not time out.
+func TestSigtermIdleConnection(t *testing.T) {
+	q := startQserve(t)
+	idle, err := net.Dial("tcp", q.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	// The server accepts connections in order, so once this request is
+	// answered the idle connection has been accepted too.
+	resp, err := http.Get(q.base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	if err := q.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.wait(); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(q.stderr.String(), "listener shutdown") {
+		t.Errorf("the listener's shutdown failed; stderr:\n%s", q.stderr.String())
+	}
+}
+
+// qserveProc is a qserve process started by startQserve.
+type qserveProc struct {
+	addr, base string
+	cmd        *exec.Cmd
+	exited     chan error
+	stderr     strings.Builder
+}
+
+// startQserve runs the test binary as qserve on a free port with the given
+// flags, and returns once /healthz answers 200. The process is killed when
+// the test ends.
+func startQserve(t *testing.T, args ...string) *qserveProc {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := &qserveProc{addr: l.Addr().String(), exited: make(chan error, 1)}
+	l.Close()
+	q.base = "http://" + q.addr
+
+	args = append([]string{"-addr", q.addr, "-blackbox-dir", t.TempDir()}, args...)
+	q.cmd = exec.Command(os.Args[0], args...)
+	q.cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	q.cmd.Stderr = &q.stderr
+	if err := q.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	go func() { q.exited <- q.cmd.Wait() }()
+	t.Cleanup(func() { q.cmd.Process.Kill() })
+	waitFor(t, "/healthz", func() bool {
+		resp, err := http.Get(q.base + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+		}
+		return err == nil && resp.StatusCode == http.StatusOK
+	})
+	return q
+}
+
+// wait returns nil once the process has exited 0, or an error that
+// carries its stderr.
+func (q *qserveProc) wait() error {
+	select {
+	case err := <-q.exited:
+		if err != nil {
+			return fmt.Errorf("qserve exited with %v, want 0; stderr:\n%s", err, q.stderr.String())
+		}
+		return nil
+	case <-time.After(30 * time.Second):
+		return errors.New("qserve did not exit within 30s of SIGTERM")
 	}
 }
 

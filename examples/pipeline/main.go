@@ -15,6 +15,8 @@ package main
 
 import (
 	"fmt"
+	"maps"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -64,11 +66,9 @@ func main() {
 	chTotals := runChannelPipeline()
 	chTime := time.Since(start)
 
-	for k, v := range totals {
-		if chTotals[k] != v {
-			fmt.Printf("MISMATCH at %s: lcrq=%d chan=%d\n", k, v, chTotals[k])
-			return
-		}
+	if !maps.Equal(totals, chTotals) {
+		fmt.Fprintf(os.Stderr, "MISMATCH: lcrq=%v chan=%v\n", totals, chTotals)
+		os.Exit(1)
 	}
 	fmt.Printf("processed %d records through 3 stages (GOMAXPROCS=%d)\n",
 		nRecords, runtime.GOMAXPROCS(0))

@@ -13,6 +13,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -82,6 +83,7 @@ func main() {
 		executed.Load(), elapsed,
 		float64(executed.Load())/float64(elapsed.Milliseconds()+1), checksum.Load())
 	if executed.Load() != nTasks {
-		fmt.Println("ERROR: lost tasks!")
+		fmt.Fprintf(os.Stderr, "ERROR: executed %d of %d tasks\n", executed.Load(), nTasks)
+		os.Exit(1)
 	}
 }

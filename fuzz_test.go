@@ -381,33 +381,3 @@ func FuzzTypedModel(f *testing.F) {
 		checkArenaConserved(t, q)
 	})
 }
-
-// FuzzPacked32Model drives the portable packed queue against a model.
-func FuzzPacked32Model(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 1, 1, 1}, uint8(2))
-	f.Add([]byte{1, 0, 1, 0}, uint8(5))
-	f.Fuzz(func(t *testing.T, ops []byte, order uint8) {
-		q := NewPacked32(int(order%8) + 1)
-		h := q.NewHandle()
-		defer h.Release()
-		var model []uint32
-		next := uint32(1)
-		for _, op := range ops {
-			if op%2 == 0 {
-				h.Enqueue(next)
-				model = append(model, next)
-				next++
-			} else {
-				v, ok := h.Dequeue()
-				switch {
-				case len(model) == 0 && ok:
-					t.Fatalf("dequeue from empty returned %d", v)
-				case len(model) > 0 && (!ok || v != model[0]):
-					t.Fatalf("dequeue = (%d,%v), want %d", v, ok, model[0])
-				case len(model) > 0:
-					model = model[1:]
-				}
-			}
-		}
-	})
-}
