@@ -209,32 +209,11 @@ func BenchmarkAblationPadding(b *testing.B) {
 	b.Run("adjacent", func(b *testing.B) { coreBenchParallel(b, core.Config{NoPadding: true}) })
 }
 
-// BenchmarkAblationRecycle compares hazard-pointer ring recycling against
-// GC-only reclamation, on a tiny ring that churns segments constantly.
-func BenchmarkAblationRecycle(b *testing.B) {
-	b.Run("recycle", func(b *testing.B) { coreBenchParallel(b, core.Config{RingOrder: 4}) })
-	b.Run("gc-only", func(b *testing.B) { coreBenchParallel(b, core.Config{RingOrder: 4, NoRecycle: true}) })
-}
-
 // BenchmarkAblationSpin compares the bounded wait for a matching enqueuer
 // (§4.1.1) against immediately poisoning the cell.
 func BenchmarkAblationSpin(b *testing.B) {
 	b.Run("spinwait", func(b *testing.B) { coreBenchParallel(b, core.Config{}) })
 	b.Run("no-spinwait", func(b *testing.B) { coreBenchParallel(b, core.Config{SpinWait: -1}) })
-}
-
-// BenchmarkAblationReclamation compares the paper's hazard pointers with
-// GC-only reclamation (a Go-specific design point; see DESIGN.md §5).
-// hazard is measured without recycling so only the protection cost differs
-// from gc-only; the -churn variants measure the full retire/recycle path on
-// a tiny ring.
-func BenchmarkAblationReclamation(b *testing.B) {
-	b.Run("hazard", func(b *testing.B) { coreBenchParallel(b, core.Config{NoRecycle: true}) })
-	b.Run("gc-only", func(b *testing.B) { coreBenchParallel(b, core.Config{NoHazard: true}) })
-	b.Run("hazard-churn", func(b *testing.B) { coreBenchParallel(b, core.Config{RingOrder: 2}) })
-	b.Run("gc-churn", func(b *testing.B) {
-		coreBenchParallel(b, core.Config{RingOrder: 2, NoHazard: true})
-	})
 }
 
 // BenchmarkAblationFAA compares hardware F&A against its CAS-loop emulation

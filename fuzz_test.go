@@ -18,7 +18,7 @@ import (
 // enqueue, odd bytes dequeue, bits 1-3 a single operation or a batch of 1-7
 // — and cross-checks the queue against a slice model. The bits of geom
 // choose the queue configuration, so the fuzzer also explores tiny rings,
-// CAS-loop mode, disabled spin waits, no recycling and the SCQ ring.
+// CAS-loop mode, disabled spin waits and the SCQ ring.
 func FuzzQueueModel(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 1, 1}, uint8(0))
 	f.Add([]byte{2, 2, 2, 3, 3, 3, 2, 3}, uint8(1))
@@ -32,9 +32,6 @@ func FuzzQueueModel(f *testing.F) {
 		}
 		if geom&8 != 0 {
 			opts = append(opts, func(c *core.Config) { c.SpinWait = -1 })
-		}
-		if geom&16 != 0 {
-			opts = append(opts, func(c *core.Config) { c.NoRecycle = true })
 		}
 		if geom&32 != 0 {
 			opts = append(opts, WithPortableRing())
@@ -119,9 +116,6 @@ func FuzzCloseDrain(f *testing.F) {
 		nprod := int(prod%4) + 1
 		target := uint64(closeAfter) % (uint64(nprod)*perProd + 1)
 		opts := []Option{WithRingSize(2 << (geom % 4))}
-		if geom&16 != 0 {
-			opts = append(opts, func(c *core.Config) { c.NoHazard = true })
-		}
 		if geom&32 != 0 {
 			opts = append(opts, WithStarvationLimit(2))
 		}
@@ -219,9 +213,6 @@ func FuzzBoundedCapacity(f *testing.F) {
 		opts := []Option{
 			WithRingSize(2 << (geom % 4)),
 			WithCapacity(capacity),
-		}
-		if geom&16 != 0 {
-			opts = append(opts, func(c *core.Config) { c.NoHazard = true })
 		}
 		q := New(opts...)
 		h := q.NewHandle()

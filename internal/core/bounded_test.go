@@ -55,40 +55,38 @@ func TestCapacityBound(t *testing.T) {
 
 // TestMaxRingsBound verifies the ring budget with a wholly stalled
 // consumer: the chain stops growing at MaxRings and every enqueue past it
-// is turned away before allocating, in both reclamation modes.
+// is turned away before allocating.
 func TestMaxRingsBound(t *testing.T) {
-	for _, mode := range reclamationModes {
-		t.Run(mode.name, func(t *testing.T) {
-			const maxRings = 3
-			// R = 2: every third item needs a fresh ring, so the budget
-			// binds almost immediately.
-			q := NewLCRQ(Config{RingOrder: 1, MaxRings: maxRings, NoHazard: mode.noHazard})
-			h := q.NewHandle()
-			defer h.Release()
-			accepted := 0
-			for i := 0; i < 1024; i++ {
-				if q.Enqueue(h, uint64(i)+1) {
-					accepted++
-				}
-				if lr := q.LiveRings(); lr > maxRings {
-					t.Fatalf("LiveRings = %d exceeds budget %d", lr, maxRings)
-				}
+	t.Run("hazard", func(t *testing.T) {
+		const maxRings = 3
+		// R = 2: every third item needs a fresh ring, so the budget binds
+		// almost immediately.
+		q := NewLCRQ(Config{RingOrder: 1, MaxRings: maxRings})
+		h := q.NewHandle()
+		defer h.Release()
+		accepted := 0
+		for i := 0; i < 1024; i++ {
+			if q.Enqueue(h, uint64(i)+1) {
+				accepted++
 			}
-			if accepted == 1024 {
-				t.Fatal("ring budget never rejected an enqueue")
+			if lr := q.LiveRings(); lr > maxRings {
+				t.Fatalf("LiveRings = %d exceeds budget %d", lr, maxRings)
 			}
-			if accepted < maxRings {
-				t.Fatalf("accepted only %d items across %d rings", accepted, maxRings)
+		}
+		if accepted == 1024 {
+			t.Fatal("ring budget never rejected an enqueue")
+		}
+		if accepted < maxRings {
+			t.Fatalf("accepted only %d items across %d rings", accepted, maxRings)
+		}
+		// The budgeted queue must still drain in FIFO order.
+		for i := 0; i < accepted; i++ {
+			v, ok := q.Dequeue(h)
+			if !ok || v != uint64(i)+1 {
+				t.Fatalf("drain[%d] = %d,%v, want %d,true", i, v, ok, i+1)
 			}
-			// The budgeted queue must still drain in FIFO order.
-			for i := 0; i < accepted; i++ {
-				v, ok := q.Dequeue(h)
-				if !ok || v != uint64(i)+1 {
-					t.Fatalf("drain[%d] = %d,%v, want %d,true", i, v, ok, i+1)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestMaxRingsBoundConcurrent hammers a tiny ring budget from several
@@ -316,15 +314,16 @@ func TestMaxRingsRefusalHelpsRivalRing(t *testing.T) {
 // the budget counter, while producers append against a small ring budget,
 // a consumer unlinks drained rings and a closer keeps closing the tail ring
 // (so appenders often find a just-linked ring closed). The sampler walks
-// head→next and counts a walk only if head did not move meanwhile; rings
-// are not recycled, so the walked rings were then all linked at once. No
-// counted walk may exceed MaxRings.
+// head→next and counts a walk only if head did not move and no ring left
+// the recycler meanwhile: head only moves forward unless a recycled ring
+// comes back round to it, so the walked rings were then all linked at
+// once. No counted walk may exceed MaxRings.
 func TestMaxRingsChainSoak(t *testing.T) {
 	const (
 		maxRings  = 3
 		producers = 3
 	)
-	q := NewLCRQ(Config{RingOrder: 1, MaxRings: maxRings, NoRecycle: true})
+	q := NewLCRQ(Config{RingOrder: 1, MaxRings: maxRings})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var accepted, refused atomic.Int64
@@ -381,7 +380,7 @@ func TestMaxRingsChainSoak(t *testing.T) {
 				return
 			default:
 			}
-			q.tail.Load().closeRing(h, EvRingClose)
+			q.protect(h, hpTail, &q.tail).closeRing(h, EvRingClose)
 			if i%4 == 0 {
 				runtime.Gosched()
 			}
@@ -391,12 +390,13 @@ func TestMaxRingsChainSoak(t *testing.T) {
 	deadline := time.Now().Add(300 * time.Millisecond)
 	walks, longest := 0, 0
 	for time.Now().Before(deadline) {
+		gets := q.recGets.Load()
 		head := q.head.Load()
 		n := 0
 		for r := head; r != nil; r = r.next.Load() {
 			n++
 		}
-		if q.head.Load() != head {
+		if q.head.Load() != head || q.recGets.Load() != gets {
 			continue
 		}
 		walks++
@@ -547,7 +547,7 @@ func TestBoundedNormalization(t *testing.T) {
 
 // TestDetachedHandleRejected verifies the fail-fast guard: a detached
 // core.NewHandle() — legitimate for standalone CRQ use — must not silently
-// run unprotected operations on a hazard-mode LCRQ.
+// run unprotected operations on an LCRQ.
 func TestDetachedHandleRejected(t *testing.T) {
 	t.Run("hazard", func(t *testing.T) {
 		q := NewLCRQ(Config{})
@@ -559,25 +559,11 @@ func TestDetachedHandleRejected(t *testing.T) {
 		}()
 		q.Enqueue(h, 1)
 	})
-	// GC mode has no reclamation record to forget, so detached handles are
-	// legitimate there.
-	t.Run("gc", func(t *testing.T) {
-		q := NewLCRQ(Config{NoHazard: true})
-		h := NewHandle()
-		if !q.Enqueue(h, 1) {
-			t.Fatal("detached handle must work on a GC-mode LCRQ")
-		}
-		if v, ok := q.Dequeue(h); !ok || v != 1 {
-			t.Fatalf("dequeue = %d,%v, want 1,true", v, ok)
-		}
-	})
 }
 
 // TestOrphanHandleRecovery verifies the leak finalizer: a handle dropped
 // without Release has its hazard record returned to the domain, so the
 // record, and the two rings its sticky slots hold, are not lost forever.
-// GC mode issues handles without a record, so only hazard mode has one to
-// recover.
 func TestOrphanHandleRecovery(t *testing.T) {
 	t.Run("hazard", func(t *testing.T) {
 		q := NewLCRQ(Config{})

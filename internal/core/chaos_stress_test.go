@@ -119,23 +119,19 @@ func TestLinearizableUnderEachInjectionPoint(t *testing.T) {
 // failures, forced closes, tantrums, and scheduling delays interacting —
 // and requires linearizability to survive the combination.
 func TestLinearizableUnderCombinedFaults(t *testing.T) {
-	for _, mode := range reclamationModes {
-		t.Run(mode.name, func(t *testing.T) {
-			chaos.Reset()
-			defer chaos.Reset()
-			chaos.EnableAll(0.15)
-			cfg := Config{RingOrder: 1, StarvationLimit: 4, NoHazard: mode.noHazard}
-			chaosCampaign(t, cfg, 40, 3, 6, 77)
-			var hits int
-			for _, p := range chaos.Points() {
-				if chaos.Fired(p) > 0 {
-					hits++
-				}
-			}
-			if hits < 5 {
-				t.Fatalf("only %d injection points fired in the combined scenario", hits)
-			}
-		})
+	chaos.Reset()
+	defer chaos.Reset()
+	chaos.EnableAll(0.15)
+	cfg := Config{RingOrder: 1, StarvationLimit: 4}
+	chaosCampaign(t, cfg, 40, 3, 6, 77)
+	var hits int
+	for _, p := range chaos.Points() {
+		if chaos.Fired(p) > 0 {
+			hits++
+		}
+	}
+	if hits < 5 {
+		t.Fatalf("only %d injection points fired in the combined scenario", hits)
 	}
 }
 
@@ -433,28 +429,24 @@ func TestSCQLinearizableUnderEachInjectionPoint(t *testing.T) {
 }
 
 // TestSCQLinearizableUnderCombinedFaults arms every point at once over the
-// SCQ engine, under both reclamation modes.
+// SCQ engine.
 func TestSCQLinearizableUnderCombinedFaults(t *testing.T) {
-	for _, mode := range reclamationModes {
-		t.Run(mode.name, func(t *testing.T) {
-			chaos.Reset()
-			defer chaos.Reset()
-			chaos.EnableAll(0.15)
-			cfg := Config{RingOrder: 1, StarvationLimit: 4, Ring: RingSCQ, NoHazard: mode.noHazard}
-			chaosCampaign(t, cfg, 40, 3, 6, 99)
-			var hits int
-			for _, p := range chaos.Points() {
-				if chaos.Fired(p) > 0 {
-					hits++
-				}
-			}
-			if hits < 5 {
-				t.Fatalf("only %d injection points fired in the combined SCQ scenario", hits)
-			}
-			if chaos.Fired(chaos.ScqEnqCAS)+chaos.Fired(chaos.ScqDeqCAS) == 0 {
-				t.Fatal("no SCQ entry CAS ever failed; campaign missed the SCQ engine")
-			}
-		})
+	chaos.Reset()
+	defer chaos.Reset()
+	chaos.EnableAll(0.15)
+	cfg := Config{RingOrder: 1, StarvationLimit: 4, Ring: RingSCQ}
+	chaosCampaign(t, cfg, 40, 3, 6, 99)
+	var hits int
+	for _, p := range chaos.Points() {
+		if chaos.Fired(p) > 0 {
+			hits++
+		}
+	}
+	if hits < 5 {
+		t.Fatalf("only %d injection points fired in the combined SCQ scenario", hits)
+	}
+	if chaos.Fired(chaos.ScqEnqCAS)+chaos.Fired(chaos.ScqDeqCAS) == 0 {
+		t.Fatal("no SCQ entry CAS ever failed; campaign missed the SCQ engine")
 	}
 }
 

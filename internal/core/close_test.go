@@ -116,22 +116,18 @@ func TestCloseConcurrent(t *testing.T) {
 // release guard: the second Release must panic loudly instead of returning
 // the same reclamation record to the domain twice.
 func TestHandleDoubleReleasePanics(t *testing.T) {
-	for _, mode := range reclamationModes {
-		q := NewLCRQ(Config{NoHazard: mode.noHazard})
-		h := q.NewHandle()
-		h.Release()
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("%s: second Release did not panic", mode.name)
-				}
-				msg, ok := r.(string)
-				if !ok || !strings.Contains(msg, "released twice") {
-					t.Fatalf("%s: panic %v lacks a clear double-release message", mode.name, r)
-				}
-			}()
-			h.Release()
-		}()
-	}
+	q := NewLCRQ(Config{})
+	h := q.NewHandle()
+	h.Release()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("second Release did not panic")
+		}
+		msg, ok := r.(string)
+		if !ok || !strings.Contains(msg, "released twice") {
+			t.Fatalf("panic %v lacks a clear double-release message", r)
+		}
+	}()
+	h.Release()
 }

@@ -113,20 +113,6 @@ type Config struct {
 	// DefaultClusterTimeout (the paper evaluates 100 µs).
 	ClusterTimeout time.Duration
 
-	// NoRecycle disables hazard-pointer-based ring recycling, letting the
-	// garbage collector reclaim retired CRQs instead. Recycling is on by
-	// default to keep ring allocation off the enqueue path.
-	NoRecycle bool
-
-	// NoHazard selects GC-only reclamation: hazard pointers leave the
-	// operation path entirely. In the paper's C setting this would be a
-	// use-after-free; under Go's garbage collector it is safe, and the
-	// option exists to measure what the paper-faithful hazard pointers
-	// (§5 footnote 6; sticky slots, DESIGN.md §18) cost per operation.
-	// NoHazard implies NoRecycle, since recycling is exactly what requires
-	// reclamation safety.
-	NoHazard bool
-
 	// Telemetry enables the live telemetry layer: per-handle counters are
 	// periodically published for lock-free aggregation, per-op latency is
 	// sampled 1-in-LatencySampleN, and ring-lifecycle events are delivered
@@ -233,9 +219,6 @@ func (c Config) normalized() Config {
 	}
 	if c.LatencySampleN < 0 {
 		c.LatencySampleN = 0 // sampling disabled
-	}
-	if c.NoHazard {
-		c.NoRecycle = true
 	}
 	if c.Capacity < 0 {
 		c.Capacity = 0

@@ -10,11 +10,11 @@ import (
 	"lcrq/internal/xrand"
 )
 
-// Hazard-pointer slot assignments within a handle.
+// Hazard-pointer slot assignments within a handle: the hazard.Slots slots
+// of a record.
 const (
-	hpHead  = iota // protects the CRQ a dequeue works in
-	hpTail         // protects the CRQ an enqueue works in
-	hpSlots        // total slots per record
+	hpHead = iota // protects the CRQ a dequeue works in
+	hpTail        // protects the CRQ an enqueue works in
 )
 
 // Handle is a per-thread context for queue operations. Each worker thread
@@ -36,9 +36,9 @@ type Handle struct {
 	// its own stream so waiter herds do not wake in lockstep.
 	rng xrand.State
 
-	hp       *hazard.Record[CRQ] // nil in GC mode (Config.NoHazard)
+	hp       *hazard.Record[CRQ] // nil for a detached NewHandle()
 	owner    *LCRQ
-	guard    *recoveryGuard // orphan-recovery finalizer anchor; nil in GC mode
+	guard    *recoveryGuard // orphan-recovery finalizer anchor
 	released bool
 
 	// Item-trace state (see trace.go). All single-writer, owned by the

@@ -50,8 +50,8 @@ type LCRQ struct {
 	// value-receiver call on the ~200-byte Config copies it, and every
 	// dequeue and successful enqueue asks. Set once in NewLCRQ.
 	bounded bool
-	dom     *hazard.Domain[CRQ] // nil when cfg.NoHazard
-	pool    sync.Pool           // recycled *CRQ rings (unused when NoRecycle)
+	dom     *hazard.Domain[CRQ] // retires unlinked rings into pool
+	pool    sync.Pool           // recycled *CRQ rings
 
 	// closed is set by Close. It lives off the hot cache lines: enqueuers
 	// only consult it on the ring-closed slow path, so an open queue never
@@ -83,9 +83,7 @@ type LCRQ struct {
 func NewLCRQ(cfg Config) *LCRQ {
 	cfg = cfg.normalized()
 	q := &LCRQ{cfg: cfg, traced: cfg.TraceSampleN != 0, bounded: cfg.Bounded()}
-	if !cfg.NoHazard {
-		q.dom = hazard.New[CRQ](hpSlots)
-	}
+	q.dom = hazard.New(q.releaseRing)
 	first := NewCRQ(cfg)
 	q.head.Store(first)
 	q.tail.Store(first)
@@ -113,16 +111,13 @@ func (q *LCRQ) NewHandle() *Handle {
 	h := &Handle{owner: q}
 	h.initTrace(q.cfg)
 	h.seedJitter()
-	if q.dom != nil { // GC mode has no reclamation record, so nothing to leak
-		h.hp = q.dom.Acquire()
-		h.armRecovery(q)
-	}
+	h.hp = q.dom.Acquire()
+	h.armRecovery(q)
 	return h
 }
 
-// protect pins the CRQ currently referenced by src. In GC mode the garbage
-// collector protects everything reachable, so a plain load suffices; hazard
-// mode needs the publish-and-revalidate dance.
+// protect pins the CRQ currently referenced by src with the handle's hazard
+// slot: publish, then revalidate against src.
 //
 // Hazard slots are never cleared between operations: the slot keeps the
 // ring published until the handle's next protect of that slot (a
@@ -130,18 +125,13 @@ func (q *LCRQ) NewHandle() *Handle {
 // holds at most two rings (hpHead, hpTail) back from recycling while idle —
 // the same bound as a handle paused mid-operation.
 //
-// A handle without a record on a hazard-mode queue is a detached
-// core.NewHandle() being misused: its operations would silently run
-// unprotected, letting rings be recycled under it. That is a
-// use-after-recycle waiting to corrupt the queue, so it fails fast here —
-// the check costs nothing in the default hazard mode (the h.hp == nil
-// branch is not taken) and one flag test in GC mode.
+// A handle without a record is a detached core.NewHandle() being misused:
+// its operations would silently run unprotected, letting rings be recycled
+// under it. That is a use-after-recycle waiting to corrupt the queue, so it
+// fails fast here; the h.hp == nil branch is never taken on correct use.
 func (q *LCRQ) protect(h *Handle, slot int, src *atomic.Pointer[CRQ]) *CRQ {
 	if h.hp == nil {
-		if !q.cfg.NoHazard {
-			panic("core: detached NewHandle() used with a hazard-mode LCRQ; obtain handles from (*LCRQ).NewHandle")
-		}
-		return src.Load()
+		panic("core: detached NewHandle() used with an LCRQ; obtain handles from (*LCRQ).NewHandle")
 	}
 	return h.hp.ProtectPtr(slot, src)
 }
@@ -150,15 +140,12 @@ func (q *LCRQ) protect(h *Handle, slot int, src *atomic.Pointer[CRQ]) *CRQ {
 // possible. recycled reports which source served the request, so the caller
 // can attribute the ring once it is actually published.
 func (q *LCRQ) newRing(h *Handle, v uint64) (r *CRQ, recycled bool) {
-	if !q.cfg.NoRecycle {
-		if p, ok := q.pool.Get().(*CRQ); ok && p != nil {
-			q.recGets.Add(1)
-			p.reset()
-			h.C.Recycled++
-			r, recycled = p, true
-		}
-	}
-	if r == nil {
+	if p, ok := q.pool.Get().(*CRQ); ok && p != nil {
+		q.recGets.Add(1)
+		p.reset()
+		h.C.Recycled++
+		r, recycled = p, true
+	} else {
 		r = NewCRQ(q.cfg)
 	}
 	r.seed(v)
@@ -172,12 +159,10 @@ func (q *LCRQ) newRing(h *Handle, v uint64) (r *CRQ, recycled bool) {
 	return r, recycled
 }
 
-// releaseRing returns a ring that was never published (a refused or lost
-// append) straight to the pool.
+// releaseRing returns a ring to the pool: a retired ring once the hazard
+// domain finds it unprotected, or one that was never published (a refused
+// or lost append) straight away.
 func (q *LCRQ) releaseRing(r *CRQ) {
-	if q.cfg.NoRecycle {
-		return
-	}
 	q.recPuts.Add(1)
 	q.pool.Put(r)
 }
@@ -256,9 +241,8 @@ func (q *LCRQ) reserveRing(max int64) bool {
 	}
 }
 
-// retireRing schedules an unlinked ring for reuse once the reclamation
-// scheme proves no thread can still access it. In GC mode the garbage
-// collector is the reclaimer and there is nothing to do.
+// retireRing schedules an unlinked ring for reuse once the hazard domain
+// proves no thread can still access it.
 func (q *LCRQ) retireRing(h *Handle, r *CRQ) {
 	q.rings.Add(-1)
 	// Unlinking a ring frees ring budget: on a ring-bounded queue that ends
@@ -268,16 +252,7 @@ func (q *LCRQ) retireRing(h *Handle, r *CRQ) {
 		q.full.Store(false)
 	}
 	q.tap(EvRingRetire)
-	var reclaim func(*CRQ)
-	if !q.cfg.NoRecycle {
-		reclaim = func(old *CRQ) {
-			q.recPuts.Add(1)
-			q.pool.Put(old)
-		}
-	}
-	if h.hp != nil {
-		h.hp.Retire(r, reclaim)
-	}
+	h.hp.Retire(r)
 }
 
 // LiveRings returns the number of ring segments currently linked in the

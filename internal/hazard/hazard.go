@@ -20,8 +20,9 @@
 // last protected — one per slot — from reclamation until it protects
 // something else or is Released.
 //
-// The domain is generic over the protected node type. Each participating
-// thread owns a Record with a fixed number of hazard slots; records are
+// The domain is generic over the protected node type and hands every
+// reclaimable node to the one reclaim function it was built with. Each
+// participating thread owns a Record with Slots hazard slots; records are
 // acquired once per thread and can be returned to a free list when the
 // thread leaves.
 package hazard
@@ -39,6 +40,8 @@ type Domain[T any] struct {
 	// head of the global record list; records are never removed, only
 	// marked inactive and reused, as in Michael's original scheme.
 	records atomic.Pointer[Record[T]]
+	// reclaim receives each retired node once no slot protects it.
+	reclaim func(*T)
 	// scanThreshold is how many retirements a record batches before
 	// scanning. Larger values amortize scan cost; smaller bound memory.
 	scanThreshold int
@@ -49,18 +52,16 @@ type Domain[T any] struct {
 // explicit threshold is configured.
 const DefaultScanThreshold = 8
 
-// maxSlots bounds the hazard slots of a record. The slots live in a fixed
-// array so that the record can give them a cache line of their own.
-const maxSlots = 4
+// Slots is the number of hazard slots in a record: LCRQ protects the ring a
+// dequeue works in and the ring an enqueue works in. The slots live in a
+// fixed array so that the record can give them a cache line of their own,
+// and scans and Release walk all of them.
+const Slots = 2
 
-// New creates a Domain whose callers use slots hazard pointers per record,
-// at most maxSlots. Scans and Release walk all maxSlots of every record, so
-// a node published in any slot is protected; an unused slot costs one load.
-func New[T any](slots int) *Domain[T] {
-	if slots <= 0 || slots > maxSlots {
-		panic("hazard: slots must be in [1, 4]")
-	}
-	return &Domain[T]{scanThreshold: DefaultScanThreshold}
+// New creates a Domain that passes each retired node to reclaim, from
+// whichever thread's scan finds it unprotected. reclaim must not be nil.
+func New[T any](reclaim func(*T)) *Domain[T] {
+	return &Domain[T]{reclaim: reclaim, scanThreshold: DefaultScanThreshold}
 }
 
 // SetScanThreshold sets the retirement batch: a record scans once its
@@ -92,17 +93,15 @@ func (d *Domain[T]) ScanThreshold() int { return d.scanThreshold }
 //lcrq:padded
 type Record[T any] struct {
 	_       pad.Line
-	hps     [maxSlots]atomic.Pointer[T] // slots past the domain's count stay nil
+	hps     [Slots]atomic.Pointer[T]
 	_       pad.Line
 	active  atomic.Bool
 	next    *Record[T] // immutable after insertion
 	domain  *Domain[T]
-	retired []retiredNode[T]
-}
-
-type retiredNode[T any] struct {
-	p       *T
-	reclaim func(*T)
+	retired []*T
+	// protected is scan's snapshot of every record's slots. It is kept
+	// across scans, emptied after each, so that a scan does not allocate.
+	protected map[*T]struct{}
 }
 
 // Acquire returns a Record for the calling thread, reusing an inactive one
@@ -126,8 +125,8 @@ func (d *Domain[T]) Acquire() *Record[T] {
 }
 
 // Release returns the record to the domain. Outstanding retired nodes are
-// handed to the reclaimers immediately if unprotected, or kept for a later
-// scan by whoever reuses the record. All hazard slots are cleared.
+// handed to the reclaim function immediately if unprotected, or kept for a
+// later scan by whoever reuses the record. All hazard slots are cleared.
 func (r *Record[T]) Release() {
 	for i := range r.hps {
 		r.hps[i].Store(nil)
@@ -174,13 +173,13 @@ func (r *Record[T]) ProtectPtr(i int, src *atomic.Pointer[T]) *T {
 }
 
 // Retire schedules p for reclamation once no hazard pointer protects it.
-// reclaim is invoked at most once, from whichever thread's scan observes the
-// node unprotected.
-func (r *Record[T]) Retire(p *T, reclaim func(*T)) {
+// The domain's reclaim function receives p at most once, from whichever
+// thread's scan observes the node unprotected.
+func (r *Record[T]) Retire(p *T) {
 	if p == nil {
 		return
 	}
-	r.retired = append(r.retired, retiredNode[T]{p: p, reclaim: reclaim})
+	r.retired = append(r.retired, p)
 	// Scale the batch with the number of participants so scans stay O(H)
 	// amortized, as in the original paper.
 	threshold := r.domain.scanThreshold * int(r.domain.nrecords.Load())
@@ -197,7 +196,10 @@ func (r *Record[T]) scan() {
 	// Delay between retirement and the protection snapshot, widening the
 	// window a concurrent ProtectPtr must win to keep its node alive.
 	chaos.Delay(chaos.HazardWindow)
-	protected := make(map[*T]struct{}, 16)
+	if r.protected == nil {
+		r.protected = make(map[*T]struct{}, 2*Slots)
+	}
+	protected := r.protected
 	for rec := r.domain.records.Load(); rec != nil; rec = rec.next {
 		for i := range rec.hps {
 			if p := rec.hps[i].Load(); p != nil {
@@ -206,21 +208,18 @@ func (r *Record[T]) scan() {
 		}
 	}
 	kept := r.retired[:0]
-	for _, rn := range r.retired {
-		if _, ok := protected[rn.p]; ok {
-			kept = append(kept, rn)
+	for _, p := range r.retired {
+		if _, ok := protected[p]; ok {
+			kept = append(kept, p)
 			continue
 		}
-		if rn.reclaim != nil {
-			rn.reclaim(rn.p)
-		}
+		r.domain.reclaim(p)
 	}
-	// Drop reclaimed entries; zero the tail so reclaimed nodes are not
-	// retained by the backing array.
-	for i := len(kept); i < len(r.retired); i++ {
-		r.retired[i] = retiredNode[T]{}
-	}
+	// Drop reclaimed entries; zero the tail and empty the snapshot so
+	// neither keeps a node reachable.
+	clear(r.retired[len(kept):])
 	r.retired = kept
+	clear(protected)
 }
 
 // Stats reports the domain's record count, for tests and debugging.

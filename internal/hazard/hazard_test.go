@@ -12,8 +12,11 @@ type node struct {
 	next atomic.Pointer[node]
 }
 
+// discard is the reclaim function of tests that never reclaim a node.
+func discard(*node) {}
+
 func TestAcquireReuse(t *testing.T) {
-	d := New[node](2)
+	d := New(discard)
 	r1 := d.Acquire()
 	r2 := d.Acquire()
 	if r1 == r2 {
@@ -32,26 +35,13 @@ func TestAcquireReuse(t *testing.T) {
 	}
 }
 
-func TestNewPanicsOnBadSlots(t *testing.T) {
-	for _, slots := range []int{0, maxSlots + 1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("New(%d): expected panic", slots)
-				}
-			}()
-			New[node](slots)
-		}()
-	}
-}
-
 // TestRecordSlotsOwnCacheLine checks the layout padcheck enforces statically
 // against real allocations: records acquired back to back on one goroutine
 // come from adjacent allocator slots, and neither record's hazard slots may
 // share a 64-byte line with any byte of the other record.
 func TestRecordSlotsOwnCacheLine(t *testing.T) {
 	const line = 64
-	d := New[node](2)
+	d := New(discard)
 	recs := make([]*Record[node], 8)
 	for i := range recs {
 		recs[i] = d.Acquire()
@@ -83,11 +73,11 @@ func TestRecordSlotsOwnCacheLine(t *testing.T) {
 }
 
 func TestRetireReclaimsUnprotected(t *testing.T) {
-	d := New[node](1)
-	r := d.Acquire()
 	var reclaimed []*node
+	d := New(func(p *node) { reclaimed = append(reclaimed, p) })
+	r := d.Acquire()
 	n := &node{v: 1}
-	r.Retire(n, func(p *node) { reclaimed = append(reclaimed, p) })
+	r.Retire(n)
 	r.scan()
 	if len(reclaimed) != 1 || reclaimed[0] != n {
 		t.Fatalf("reclaimed = %v", reclaimed)
@@ -95,22 +85,22 @@ func TestRetireReclaimsUnprotected(t *testing.T) {
 }
 
 func TestRetireNilIsNoop(t *testing.T) {
-	d := New[node](1)
+	d := New(func(*node) { t.Fatal("reclaimed nil") })
 	r := d.Acquire()
-	r.Retire(nil, func(*node) { t.Fatal("reclaimed nil") })
+	r.Retire(nil)
 	r.scan()
 }
 
 func TestProtectBlocksReclamation(t *testing.T) {
-	d := New[node](1)
+	var reclaimed int
+	d := New(func(*node) { reclaimed++ })
 	owner := d.Acquire()
 	other := d.Acquire()
 
 	n := &node{v: 7}
 	other.Protect(0, n)
 
-	var reclaimed int
-	owner.Retire(n, func(*node) { reclaimed++ })
+	owner.Retire(n)
 	owner.scan()
 	if reclaimed != 0 {
 		t.Fatal("protected node was reclaimed")
@@ -122,18 +112,18 @@ func TestProtectBlocksReclamation(t *testing.T) {
 	}
 }
 
-// TestEverySlotProtects: a node published in any of a record's slots, even
-// one past the domain's declared count, survives a scan, and Release clears
-// that slot too.
+// TestEverySlotProtects: a node published in any of a record's slots
+// survives a scan, and Release clears that slot too.
 func TestEverySlotProtects(t *testing.T) {
-	d := New[node](1)
+	var reclaimed int
+	d := New(func(*node) { reclaimed++ })
 	owner := d.Acquire()
 	other := d.Acquire()
-	for i := range maxSlots {
+	for i := range Slots {
 		n := &node{v: i}
 		other.Protect(i, n)
-		var reclaimed int
-		owner.Retire(n, func(*node) { reclaimed++ })
+		reclaimed = 0
+		owner.Retire(n)
 		owner.scan()
 		if reclaimed != 0 {
 			t.Fatalf("node protected in slot %d was reclaimed", i)
@@ -148,10 +138,10 @@ func TestEverySlotProtects(t *testing.T) {
 }
 
 func TestReleaseScansOutstanding(t *testing.T) {
-	d := New[node](1)
-	r := d.Acquire()
 	var reclaimed int
-	r.Retire(&node{}, func(*node) { reclaimed++ })
+	d := New(func(*node) { reclaimed++ })
+	r := d.Acquire()
+	r.Retire(&node{})
 	r.Release()
 	if reclaimed != 1 {
 		t.Fatal("Release did not scan retired nodes")
@@ -159,7 +149,7 @@ func TestReleaseScansOutstanding(t *testing.T) {
 }
 
 func TestProtectPtrValidates(t *testing.T) {
-	d := New[node](1)
+	d := New(discard)
 	r := d.Acquire()
 	var src atomic.Pointer[node]
 	n := &node{v: 3}
@@ -178,7 +168,7 @@ func TestProtectPtrValidates(t *testing.T) {
 // on, it publishes the new node. The src comparison is load-bearing: a fast
 // path that trusted a non-empty slot alone would return the stale node.
 func TestProtectPtrFastPath(t *testing.T) {
-	d := New[node](1)
+	d := New(discard)
 	r := d.Acquire()
 	var src atomic.Pointer[node]
 	a, b := &node{v: 1}, &node{v: 2}
@@ -205,7 +195,8 @@ func TestProtectPtrFastPath(t *testing.T) {
 // Retire and scan; once the owner's next ProtectPtr sees src changed, the
 // next scan reclaims it.
 func TestStickySlotSurvivesRetire(t *testing.T) {
-	d := New[node](1)
+	var reclaimed int
+	d := New(func(*node) { reclaimed++ })
 	owner := d.Acquire()
 	other := d.Acquire()
 	var src atomic.Pointer[node]
@@ -214,8 +205,7 @@ func TestStickySlotSurvivesRetire(t *testing.T) {
 	owner.ProtectPtr(0, &src)
 	src.Store(cur) // unlink old, as a head swing would
 
-	var reclaimed int
-	other.Retire(old, func(*node) { reclaimed++ })
+	other.Retire(old)
 	other.scan()
 	if reclaimed != 0 {
 		t.Fatal("node held in a sticky slot was reclaimed")
@@ -232,7 +222,8 @@ func TestStickySlotSurvivesRetire(t *testing.T) {
 // TestReleaseFreesStickySlots: Release clears every slot the record left
 // published, so whatever it held is reclaimed at the next scan.
 func TestReleaseFreesStickySlots(t *testing.T) {
-	d := New[node](2)
+	var reclaimed int
+	d := New(func(*node) { reclaimed++ })
 	owner := d.Acquire()
 	other := d.Acquire()
 	var head, tail atomic.Pointer[node]
@@ -242,9 +233,8 @@ func TestReleaseFreesStickySlots(t *testing.T) {
 	owner.ProtectPtr(0, &head)
 	owner.ProtectPtr(1, &tail)
 
-	var reclaimed int
-	other.Retire(a, func(*node) { reclaimed++ })
-	other.Retire(b, func(*node) { reclaimed++ })
+	other.Retire(a)
+	other.Retire(b)
 	other.scan()
 	if reclaimed != 0 {
 		t.Fatalf("reclaimed %d nodes held in sticky slots", reclaimed)
@@ -261,7 +251,7 @@ func TestReleaseFreesStickySlots(t *testing.T) {
 // since the last call (publish, fence, reread; the loop's own store that
 // changes src is included).
 func BenchmarkProtectPtr(b *testing.B) {
-	d := New[node](1)
+	d := New(discard)
 	r := d.Acquire()
 	defer r.Release()
 	nodes := [2]*node{{v: 1}, {v: 2}}
@@ -281,18 +271,18 @@ func BenchmarkProtectPtr(b *testing.B) {
 }
 
 func TestScanThresholdScalesWithRecords(t *testing.T) {
-	d := New[node](1)
-	r := d.Acquire()
 	var reclaimed atomic.Int64
+	d := New(func(*node) { reclaimed.Add(1) })
+	r := d.Acquire()
 	// Below threshold (8 × 1 record), nothing is scanned automatically.
 	for i := 0; i < 7; i++ {
-		r.Retire(&node{v: i}, func(*node) { reclaimed.Add(1) })
+		r.Retire(&node{v: i})
 	}
 	if reclaimed.Load() != 0 {
 		t.Fatalf("premature reclamation of %d nodes", reclaimed.Load())
 	}
 	// Crossing the threshold triggers a scan of everything.
-	r.Retire(&node{v: 8}, func(*node) { reclaimed.Add(1) })
+	r.Retire(&node{v: 8})
 	if reclaimed.Load() != 8 {
 		t.Fatalf("reclaimed = %d at threshold, want 8", reclaimed.Load())
 	}
@@ -303,20 +293,19 @@ func TestScanThresholdScalesWithRecords(t *testing.T) {
 // traverse. The assertion is that no node is ever reclaimed while a reader
 // holds it (checked via a poisoned flag).
 func TestConcurrentListTraversal(t *testing.T) {
-	d := New[node](1)
+	poisoned := make(map[*node]*atomic.Bool)
+	var mu sync.Mutex
+	d := New(func(p *node) { // mark the node poisoned
+		mu.Lock()
+		defer mu.Unlock()
+		poisoned[p].Store(true)
+	})
 	var head atomic.Pointer[node]
 	const nodes = 200
 	for i := 0; i < nodes; i++ {
 		n := &node{v: i}
 		n.next.Store(head.Load())
 		head.Store(n)
-	}
-	poisoned := make(map[*node]*atomic.Bool)
-	var mu sync.Mutex
-	markPoisoned := func(p *node) {
-		mu.Lock()
-		defer mu.Unlock()
-		poisoned[p].Store(true)
 	}
 	mu.Lock()
 	for n := head.Load(); n != nil; n = n.next.Load() {
@@ -340,7 +329,7 @@ func TestConcurrentListTraversal(t *testing.T) {
 				}
 				next := n.next.Load()
 				if head.CompareAndSwap(n, next) {
-					r.Retire(n, markPoisoned)
+					r.Retire(n)
 				}
 			}
 		}()
@@ -384,7 +373,7 @@ func TestConcurrentListTraversal(t *testing.T) {
 // holds more than k×n entries, and a sub-1 threshold falls back to the
 // default.
 func TestSetScanThresholdBoundsRetired(t *testing.T) {
-	d := New[node](1)
+	d := New(discard)
 	d.SetScanThreshold(2)
 	if got := d.ScanThreshold(); got != 2 {
 		t.Fatalf("ScanThreshold = %d, want 2", got)
@@ -394,12 +383,12 @@ func TestSetScanThresholdBoundsRetired(t *testing.T) {
 	_ = r2
 	bound := 2 * int(d.Stats())
 	for i := 0; i < 100; i++ {
-		r1.Retire(&node{v: i}, nil)
+		r1.Retire(&node{v: i})
 		if got := len(r1.retired); got > bound {
 			t.Fatalf("retired list grew to %d, bound %d", got, bound)
 		}
 	}
-	d2 := New[node](1)
+	d2 := New(discard)
 	d2.SetScanThreshold(0)
 	if got := d2.ScanThreshold(); got != DefaultScanThreshold {
 		t.Fatalf("threshold 0 selected %d, want default %d", got, DefaultScanThreshold)

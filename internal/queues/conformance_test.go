@@ -156,10 +156,16 @@ func TestConcurrentConformance(t *testing.T) {
 	}
 }
 
+// linearizabilityRuns counts TestLinearizability invocations in this
+// process, so that each -count repetition draws new operation mixes.
+var linearizabilityRuns atomic.Uint64
+
 // TestLinearizability records genuine concurrent histories on every
 // implementation and verifies them with the exhaustive checker. Histories
 // are kept small so the check is fast; many rounds with different seeds
-// cover varied interleavings.
+// cover varied interleavings. Invocation k of the process seeds its rounds
+// past those of invocations 0..k-1, so -count=N checks N×rounds distinct
+// operation mixes per queue, and the same N×rounds every time it is run.
 func TestLinearizability(t *testing.T) {
 	const (
 		threads  = 3
@@ -167,6 +173,8 @@ func TestLinearizability(t *testing.T) {
 		rounds   = 30
 		maxValue = 1 << 30
 	)
+	inv := linearizabilityRuns.Add(1) - 1
+	seed := func(round, th int) uint64 { return inv*rounds*threads + uint64(round*threads+th+1) }
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			for round := 0; round < rounds; round++ {
@@ -183,7 +191,7 @@ func TestLinearizability(t *testing.T) {
 						defer wg.Done()
 						h := q.NewHandle(th, th%2)
 						defer h.Release()
-						rng := xrand.New(uint64(round*threads + th + 1))
+						rng := xrand.New(seed(round, th))
 						for i := 0; i < opsEach; i++ {
 							if rng.Uintn(2) == 0 {
 								v := nextVal.Add(1) % maxValue
@@ -212,7 +220,8 @@ func TestLinearizability(t *testing.T) {
 					for _, op := range hist {
 						t.Logf("%s", op)
 					}
-					t.Fatalf("round %d: history not linearizable", round)
+					t.Fatalf("invocation %d, round %d (thread seeds %d..%d): history not linearizable",
+						inv, round, seed(round, 0), seed(round, threads-1))
 				}
 			}
 		})

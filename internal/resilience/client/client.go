@@ -13,9 +13,6 @@
 //     batch and resent verbatim on retry — the server's dedup cache turns
 //     an ambiguous transport failure ("did my accept land?") into a safe
 //     resend.
-//   - Pipelined bulk enqueue: EnqueueAll splits a value stream into batches
-//     and keeps a bounded number in flight, each batch retried
-//     independently under its own key.
 //
 // The client retries what the taxonomy marks retryable: transport errors,
 // 429 (shedding or full), and 504 (deadline). It does not retry 400 (the
@@ -200,7 +197,7 @@ var ErrBudgetExhausted = errors.New("client: retry budget exhausted")
 // Enqueue sends values as one batch, retrying under one idempotency key
 // until accepted, a terminal answer, the attempt cap, the budget, or ctx.
 // It returns how many leading values the server holds. A partial accept is
-// success: the caller resends the tail as a new batch (EnqueueAll does).
+// success: the caller resends the tail as a new batch.
 func (c *Client) Enqueue(ctx context.Context, values []uint64, timeout time.Duration) (int, error) {
 	return c.EnqueueKeyed(ctx, c.nextKey(), values, timeout)
 }
@@ -285,64 +282,6 @@ func (c *Client) dequeue(ctx context.Context, max int, wait time.Duration) (resi
 		return resilience.DecodeDequeueResponse(b, &out)
 	})
 	return out, sp, err
-}
-
-// EnqueueAll pushes every value, splitting into batches of batchSize and
-// keeping up to inflight batches pipelined, each retried independently
-// under its own idempotency key. It stops at the first terminal failure
-// and returns how many values were confirmed accepted.
-func (c *Client) EnqueueAll(ctx context.Context, values []uint64, batchSize, inflight int) (int, error) {
-	if batchSize <= 0 {
-		batchSize = 64
-	}
-	if inflight <= 0 {
-		inflight = 4
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		accepted atomic.Uint64
-		firstErr atomic.Pointer[error]
-		sem      = make(chan struct{}, inflight)
-		wg       sync.WaitGroup
-	)
-	for lo := 0; lo < len(values); lo += batchSize {
-		hi := min(lo+batchSize, len(values))
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			// Cancelled — possibly by a worker's terminal failure, whose
-			// error (not the derived cancellation) is the answer.
-			wg.Wait()
-			if ep := firstErr.Load(); ep != nil {
-				return int(accepted.Load()), *ep
-			}
-			return int(accepted.Load()), ctx.Err()
-		}
-		wg.Add(1)
-		go func(batch []uint64) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			// A batch may be partially accepted (budget ran out mid-batch):
-			// resend the tail as fresh batches until done or a terminal error.
-			for len(batch) > 0 {
-				n, err := c.Enqueue(ctx, batch, 5*time.Second)
-				accepted.Add(uint64(n))
-				batch = batch[n:]
-				if err != nil {
-					firstErr.CompareAndSwap(nil, &err)
-					cancel()
-					return
-				}
-			}
-		}(values[lo:hi])
-	}
-	wg.Wait()
-	if ep := firstErr.Load(); ep != nil {
-		return int(accepted.Load()), *ep
-	}
-	return int(accepted.Load()), nil
 }
 
 // doSpans runs one request with the retry loop, sending payload to u and

@@ -7,13 +7,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"lcrq"
 	"lcrq/internal/resilience"
-	"lcrq/internal/resilience/server"
 )
 
 // fakeServer scripts qserve answers: each enqueue consumes the next step.
@@ -219,119 +216,6 @@ func TestRetryBudget(t *testing.T) {
 	c.Enqueue(context.Background(), []uint64{3}, 0)
 	if extra := len(f.seen) - sent; extra > 4 {
 		t.Fatalf("budget leak: %d extra attempts for two exhausted operations", extra)
-	}
-}
-
-// TestEnqueueAllPipelined: bulk enqueue against a real qserve handler —
-// every value lands exactly once despite batching and pipelining.
-func TestEnqueueAllPipelined(t *testing.T) {
-	q := lcrq.New()
-	s := server.New(server.Config{Queue: q, HealthPoll: 5 * time.Millisecond})
-	ts := httptest.NewServer(s.Handler())
-	defer func() { ts.Close(); s.Close() }()
-
-	const total = 1000
-	values := make([]uint64, total)
-	for i := range values {
-		values[i] = uint64(i + 1)
-	}
-	c := newClient(ts.URL, nil)
-	n, err := c.EnqueueAll(context.Background(), values, 64, 8)
-	if err != nil || n != total {
-		t.Fatalf("EnqueueAll = %d, %v", n, err)
-	}
-
-	got := make(map[uint64]int)
-	for {
-		vs, err := c.Dequeue(context.Background(), 128, 0)
-		if err != nil {
-			t.Fatalf("Dequeue: %v", err)
-		}
-		if len(vs) == 0 {
-			break
-		}
-		for _, v := range vs {
-			got[v]++
-		}
-	}
-	if len(got) != total {
-		t.Fatalf("delivered %d distinct values, want %d", len(got), total)
-	}
-	for v, n := range got {
-		if n != 1 {
-			t.Fatalf("value %d delivered %d times", v, n)
-		}
-	}
-}
-
-// TestEnqueueAllPartialAcceptResent: a server that accepts only part of
-// each batch still ends with everything enqueued — tails are resent.
-func TestEnqueueAllPartialAcceptResent(t *testing.T) {
-	var mu sync.Mutex
-	landed := make(map[uint64]int)
-	var calls atomic.Uint64
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req resilience.EnqueueRequest
-		json.NewDecoder(r.Body).Decode(&req)
-		calls.Add(1)
-		// Accept at most 3 values per call.
-		n := min(3, len(req.Values))
-		mu.Lock()
-		for _, v := range req.Values[:n] {
-			landed[v]++
-		}
-		mu.Unlock()
-		w.WriteHeader(200)
-		json.NewEncoder(w).Encode(resilience.EnqueueResponse{Accepted: n})
-	})
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	values := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	c := newClient(ts.URL, nil)
-	n, err := c.EnqueueAll(context.Background(), values, 10, 1)
-	if err != nil || n != 10 {
-		t.Fatalf("EnqueueAll = %d, %v", n, err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, v := range values {
-		if landed[v] != 1 {
-			t.Fatalf("value %d landed %d times", v, landed[v])
-		}
-	}
-}
-
-// TestEnqueueAllStopsOnTerminal: a draining server ends the pipeline with
-// its terminal error and an accurate accepted count.
-func TestEnqueueAllStopsOnTerminal(t *testing.T) {
-	var calls atomic.Uint64
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req resilience.EnqueueRequest
-		json.NewDecoder(r.Body).Decode(&req)
-		if calls.Add(1) == 1 {
-			w.WriteHeader(200)
-			json.NewEncoder(w).Encode(resilience.EnqueueResponse{Accepted: len(req.Values)})
-			return
-		}
-		w.WriteHeader(503)
-		json.NewEncoder(w).Encode(resilience.ErrorResponse{Error: resilience.ErrTokenDraining})
-	})
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	values := make([]uint64, 100)
-	for i := range values {
-		values[i] = uint64(i + 1)
-	}
-	c := newClient(ts.URL, nil)
-	n, err := c.EnqueueAll(context.Background(), values, 10, 1)
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != 503 {
-		t.Fatalf("err = %v, want 503 APIError", err)
-	}
-	if n != 10 {
-		t.Fatalf("accepted = %d, want 10 (one batch before the drain)", n)
 	}
 }
 

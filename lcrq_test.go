@@ -108,8 +108,6 @@ func TestOptionsApply(t *testing.T) {
 		{"cas loop", []Option{func(c *core.Config) { c.CASLoopFAA = true }}},
 		{"hierarchical", []Option{WithHierarchical(time.Millisecond)}},
 		{"no padding", []Option{func(c *core.Config) { c.NoPadding = true }}},
-		{"no recycling", []Option{func(c *core.Config) { c.NoRecycle = true }}},
-		{"no hazard", []Option{func(c *core.Config) { c.NoHazard = true }, WithRingSize(8)}},
 		{"spin", []Option{func(c *core.Config) { c.SpinWait = 3 }}},
 		{"starvation", []Option{WithStarvationLimit(5)}},
 		{"tiny ring", []Option{WithRingSize(1)}}, // clamps to 2

@@ -164,20 +164,3 @@ func WithWaitBackoff(min, max time.Duration) Option {
 		c.WaitBackoffMax = max
 	}
 }
-
-// withUnbounded strips the resource-governance and observability options
-// from a derived internal queue. The typed facade applies it to its
-// free-list queue: the free list is seeded with exactly the arena's slot
-// indices, so a capacity bound there would reject recycled indices and
-// silently shrink the arena, and a watchdog there would double-report the
-// user's queue. Nothing reads the free list's telemetry (Typed.Metrics
-// reports the main queue), so it gets no sink, and no tracing either.
-func withUnbounded() Option {
-	return func(c *core.Config) {
-		c.Capacity = 0
-		c.MaxRings = 0
-		c.Watchdog = 0
-		c.Telemetry = false
-		c.TraceSampleN = 0
-	}
-}

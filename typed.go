@@ -6,14 +6,16 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"lcrq/internal/core"
 )
 
 // Typed is an unbounded nonblocking MPMC FIFO queue of arbitrary Go values,
 // built on the raw uint64 Queue. Values are parked in a growable slot arena
 // that the garbage collector scans normally (so queueing pointers is safe),
 // and the raw queue carries slot indices. Each handle keeps a small private
-// stash of free slot indices; a second raw queue, the lock-free free list,
-// only balances the stashes, in batches of stashSize/2 or more, when one
+// stash of free slot indices; a second, internal LCRQ, the lock-free free
+// list, only balances the stashes, in batches of stashSize/2 or more, when one
 // runs dry or overflows. A closed enqueue/dequeue loop therefore never
 // touches the free list, and the steady-state data path allocates nothing.
 //
@@ -23,8 +25,8 @@ import (
 // index moves between goroutines only through the main queue or the free
 // list; a stash is touched by its own handle alone.
 type Typed[T any] struct {
-	main *Queue // carries slot indices in FIFO order
-	free *Queue // recycled slot indices
+	main *Queue     // carries slot indices in FIFO order
+	free *core.LCRQ // recycled slot indices
 	mu   sync.Mutex
 	arr  atomic.Pointer[[]*chunk[T]]
 	pool sync.Pool // spare *TypedHandle[T]
@@ -43,13 +45,14 @@ type chunk[T any] struct {
 }
 
 // NewTyped returns an empty typed queue. Options configure the underlying
-// index queue (the free list uses the same ring geometry, but is always
-// unbounded and unwatched: it holds exactly the arena's recycled slot
-// indices, so a capacity bound there would lose slots, not apply
-// backpressure — WithCapacity and friends govern the main queue only).
+// index queue. The free list takes only its ring size and ring protocol:
+// it holds exactly the arena's recycled slot indices, so a capacity bound
+// there would lose slots, not apply backpressure, and nothing reads its
+// telemetry or traces (WithCapacity and friends govern the main queue).
 func NewTyped[T any](opts ...Option) *Typed[T] {
-	freeOpts := append(append([]Option{}, opts...), withUnbounded())
-	t := &Typed[T]{main: New(opts...), free: New(freeOpts...)}
+	main := New(opts...)
+	cfg := main.q.Config()
+	t := &Typed[T]{main: main, free: core.NewLCRQ(core.Config{RingOrder: cfg.RingOrder, Ring: cfg.Ring})}
 	empty := []*chunk[T]{}
 	t.arr.Store(&empty)
 	t.pool.New = func() any {
@@ -67,7 +70,7 @@ func NewTyped[T any](opts ...Option) *Typed[T] {
 type TypedHandle[T any] struct {
 	t     *Typed[T]
 	main  *Handle
-	free  *Handle
+	free  *core.Handle
 	idx   []uint64          // scratch index block for the batch operations
 	n     int               // free slot indices held in stash[:n]
 	stash [stashSize]uint64 // most recently freed on top
@@ -83,7 +86,7 @@ func (t *Typed[T]) NewHandle() *TypedHandle[T] {
 // stash back to the free list.
 func (h *TypedHandle[T]) Release() {
 	if h.n > 0 {
-		h.free.EnqueueBatch(h.stash[:h.n])
+		h.t.free.EnqueueBatch(h.free, h.stash[:h.n])
 		h.n = 0
 	}
 	h.main.Release()
@@ -116,7 +119,7 @@ func (t *Typed[T]) grow(h *TypedHandle[T]) uint64 {
 	for i := uint64(stashSize/2 + 1); i < chunkSize; i++ {
 		rest = append(rest, base+i)
 	}
-	h.free.EnqueueBatch(rest)
+	t.free.EnqueueBatch(h.free, rest)
 	return base
 }
 
@@ -160,7 +163,7 @@ func (h *TypedHandle[T]) EnqueueWait(ctx context.Context, v T) error {
 //lcrq:hotpath
 func (h *TypedHandle[T]) takeSlot() uint64 {
 	if h.n == 0 {
-		h.n = h.free.DequeueBatch(h.stash[:stashSize/2])
+		h.n = h.t.free.DequeueBatch(h.free, h.stash[:stashSize/2])
 		if h.n == 0 {
 			return h.t.grow(h)
 		}
@@ -177,7 +180,7 @@ func (h *TypedHandle[T]) takeSlot() uint64 {
 //lcrq:hotpath
 func (h *TypedHandle[T]) recycle(idx uint64) {
 	if h.n == stashSize {
-		h.free.EnqueueBatch(h.stash[:stashSize/2])
+		h.t.free.EnqueueBatch(h.free, h.stash[:stashSize/2])
 		h.n = copy(h.stash[:], h.stash[stashSize/2:])
 	}
 	h.stash[h.n] = idx
@@ -206,7 +209,7 @@ func (h *TypedHandle[T]) takeSlots(idx []uint64) {
 		idx[i] = h.stash[h.n]
 	}
 	if len(idx)-i >= stashSize/2 {
-		i += h.free.DequeueBatch(idx[i:])
+		i += h.t.free.DequeueBatch(h.free, idx[i:])
 	}
 	for ; i < len(idx); i++ {
 		idx[i] = h.takeSlot()
@@ -222,7 +225,7 @@ func (h *TypedHandle[T]) recycleSlots(idx []uint64) {
 	k := copy(h.stash[h.n:], idx)
 	h.n += k
 	if rest := idx[k:]; len(rest) >= stashSize/2 {
-		h.free.EnqueueBatch(rest)
+		h.t.free.EnqueueBatch(h.free, rest)
 	} else {
 		for _, ix := range rest {
 			h.recycle(ix)

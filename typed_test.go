@@ -12,7 +12,7 @@ import (
 type freeCalls struct{ enq, deq, batchEnq, batchDeq uint64 }
 
 func freeCallsOf[T any](h *TypedHandle[T]) freeCalls {
-	c := &h.free.h.C
+	c := &h.free.C
 	return freeCalls{c.Enqueues, c.Dequeues, c.BatchEnqueues, c.BatchDequeues}
 }
 
@@ -28,7 +28,7 @@ func checkArenaConserved[T any](t testing.TB, q *Typed[T]) {
 	defer fh.Release()
 	count := 0
 	for {
-		idx, ok := fh.Dequeue()
+		idx, ok := q.free.Dequeue(fh)
 		if !ok {
 			break
 		}
@@ -186,7 +186,7 @@ func TestTypedStashProducerConsumer(t *testing.T) {
 		for i := 0; i < n; i++ {
 			h.Enqueue([2]int{i, -i})
 		}
-		pc = h.free.h.C
+		pc = h.free.C
 		h.Release()
 	}()
 	go func() {
@@ -203,7 +203,7 @@ func TestTypedStashProducerConsumer(t *testing.T) {
 			}
 			want++
 		}
-		cc = h.free.h.C
+		cc = h.free.C
 		h.Release()
 	}()
 	wg.Wait()
@@ -216,17 +216,26 @@ func TestTypedStashProducerConsumer(t *testing.T) {
 	checkArenaConserved(t, q)
 }
 
-// TestTypedFreeListUntelemetered: the free list builds no telemetry sink
-// and its handles register with none — Typed.Metrics reports the main
-// queue only — while the main queue keeps the telemetry it was asked for.
+// TestTypedFreeListUntelemetered: the free list is a bare LCRQ with the
+// main queue's ring size and ring protocol, unbounded, untraced and with no
+// telemetry tap (Typed.Metrics reports the main queue only), while the main
+// queue keeps the bound and the telemetry it was asked for.
 func TestTypedFreeListUntelemetered(t *testing.T) {
-	q := NewTyped[int](WithTelemetry(), WithTracing(16))
+	q := NewTyped[int](WithTelemetry(), WithTracing(16), WithCapacity(8), WithRingSize(64), WithPortableRing())
 	h := q.NewHandle()
 	defer h.Release()
 	if q.main.tel == nil || h.main.tel == nil {
 		t.Fatal("the main queue lost its telemetry")
 	}
-	if q.free.tel != nil || h.free.tel != nil {
-		t.Fatal("the free list has a telemetry sink nothing reads")
+	main, free := q.main.q.Config(), q.free.Config()
+	if !main.Bounded() {
+		t.Fatal("the main queue lost its capacity bound")
+	}
+	if free.Bounded() || free.TraceSampleN != 0 || free.Telemetry || free.Tap != nil || free.TraceTap != nil {
+		t.Fatalf("the free list is bounded or observed: %+v", free)
+	}
+	if free.RingOrder != main.RingOrder || free.Ring != main.Ring {
+		t.Fatalf("free list ring (order %d, %v), main queue ring (order %d, %v)",
+			free.RingOrder, free.Ring, main.RingOrder, main.Ring)
 	}
 }
